@@ -2,12 +2,12 @@
 
 .PHONY: verify build test clippy lint lint-graph bench bench-compile bench-trace bench-lazy cache-smoke serve-smoke serve-remote-smoke trace-smoke reproduce chaos drill
 
-# The full pre-merge gate: release build, quiet tests, zero clippy
-# warnings, a clean rqp-lint pass (warnings denied), an acyclic lock
-# graph, the fixed-seed chaos smoke sweep, the causal-trace smoke, and
-# the scripted resilience drills.
+# The full pre-merge gate: release build, quiet workspace tests (the same
+# set CI runs), zero clippy warnings, a clean rqp-lint pass (warnings
+# denied), an acyclic lock graph, the fixed-seed chaos smoke sweep, the
+# causal-trace smoke, and the scripted resilience drills.
 verify:
-	cargo build --release && cargo test -q && cargo clippy --workspace -- -D warnings && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill
+	cargo build --release && cargo test -q --workspace && cargo clippy --workspace -- -D warnings && $(MAKE) lint && $(MAKE) lint-graph && $(MAKE) chaos && $(MAKE) trace-smoke && $(MAKE) drill
 
 # Resilience drills (see README, "Resilience"): crash-recovery must
 # restore every fingerprint from the disk tier with zero recompiles, and
@@ -67,12 +67,17 @@ bench-trace:
 bench-lazy:
 	cargo bench -p rqp-bench --bench compile_lazy
 
-# Persistent-cache smoke: the second identical compile must be a disk hit.
+# Persistent-cache smoke: the second identical compile must be a disk hit,
+# and a garbage entry must be quarantined to *.corrupt and recompiled.
 cache-smoke:
 	rm -rf target/cache-smoke
 	cargo run --release --bin rqp -- compile --query 2D_Q91 --resolution 6 --cache-dir target/cache-smoke
 	cargo run --release --bin rqp -- compile --query 2D_Q91 --resolution 6 --cache-dir target/cache-smoke \
 		| grep -q "compile cache: 1 hit(s)"
+	for f in target/cache-smoke/posp-*.rqpc; do echo garbage > "$$f"; done
+	cargo run --release --bin rqp -- compile --query 2D_Q91 --resolution 6 --cache-dir target/cache-smoke \
+		| grep -q "compile cache: 0 hit(s), 1 miss(es), 1 store(s), 1 corrupt"
+	ls target/cache-smoke/posp-*.rqpc.corrupt > /dev/null
 	@echo "cache-smoke: ok"
 
 # Concurrent-serving smoke: 16 sessions over 2 fingerprints through the

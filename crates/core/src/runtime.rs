@@ -1,7 +1,7 @@
 //! The shared runtime every robust algorithm executes against.
 
 use rqp_catalog::{Catalog, Estimator, Query, RqpError, RqpResult, SelVector};
-use rqp_ess::{Cell, CompileCache, Ess, EssConfig, Grid, LazyEss, LazyStart, PlanId};
+use rqp_ess::{Cell, Ess, EssConfig, Grid, LazyEss, PlanId};
 use rqp_executor::Engine;
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{CostModel, PlanNode};
@@ -78,21 +78,6 @@ impl<'a> RobustRuntime<'a> {
         })
     }
 
-    /// Like [`RobustRuntime::compile`], but consulting an explicit
-    /// per-instance persistent [`CompileCache`] instead of the process
-    /// global (multi-tenant embedders thread their own cache policy).
-    pub fn compile_with_cache(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&CompileCache>,
-    ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |optimizer| {
-            Ok(Surface::Eager(Arc::new(Ess::compile_cached(optimizer, config, cache)?)))
-        })
-    }
-
     /// Admit the query against a *lazy anytime* surface: only the ladder
     /// anchors (origin and terminus) are costed now; each contour band is
     /// flooded the first time the discovery walk, an oracle peek, or a
@@ -105,25 +90,6 @@ impl<'a> RobustRuntime<'a> {
     ) -> RqpResult<Self> {
         Self::admit(catalog, query, model, |_| {
             Ok(Surface::Lazy(LazyEss::begin(catalog, query, model, config)?))
-        })
-    }
-
-    /// Like [`RobustRuntime::compile_lazy`], but consulting a persistent
-    /// [`CompileCache`] first: a full snapshot hit admits an eager surface
-    /// outright, a partial snapshot warm-starts the lazy frontier at the
-    /// stored band cursor.
-    pub fn compile_lazy_cached(
-        catalog: &'a Catalog,
-        query: &'a Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&CompileCache>,
-    ) -> RqpResult<Self> {
-        Self::admit(catalog, query, model, |_| {
-            Ok(match LazyEss::begin_cached(catalog, query, model, config, cache)? {
-                LazyStart::Full(ess) => Surface::Eager(ess),
-                LazyStart::Lazy(lazy) => Surface::Lazy(lazy),
-            })
         })
     }
 

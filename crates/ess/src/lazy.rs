@@ -91,51 +91,16 @@ impl Frontier {
     }
 }
 
-/// A partially-compiled surface in storable form: everything the frontier
-/// knows, minus the unbanded seed-corner memo (cheap to recompute and
-/// deterministic, so dropping it cannot change any resumed result).
-#[derive(Debug, Clone)]
-pub struct PartialSurface {
-    /// The grid (must match the resuming configuration's grid).
-    pub grid: Grid,
-    /// Contour ratio of the ladder.
-    pub ratio: f64,
-    /// Ladder anchor: optimal cost at the origin.
-    pub cmin: f64,
-    /// Ladder anchor: optimal cost at the terminus.
-    pub cmax: f64,
-    /// Discovered plans, in lazy-registry id order.
-    pub plans: Vec<PlanNode>,
-    /// Highest fully materialized band (`-1` = none).
-    pub compiled_through: isize,
-    /// Frozen bands `0..=compiled_through`: `(cell, plan index, cost)`.
-    pub bands: Vec<Vec<(Cell, u32, f64)>>,
-    /// Parked cells: `(cell, band, plan index, cost)`.
-    pub parked: Vec<(Cell, u32, u32, f64)>,
-}
-
-/// Outcome of [`LazyEss::begin_cached`]: the persistent cache may already
-/// hold the finished surface, in which case there is nothing to be lazy
-/// about.
-pub enum LazyStart {
-    /// The cache held a complete snapshot; use it eagerly.
-    Full(Arc<Ess>),
-    /// A fresh (or partial-warm-started) lazy surface.
-    Lazy(Arc<LazyEss>),
-}
-
 /// An anytime, band-by-band ESS compiler sharing the eager pipeline's
 /// arithmetic cell for cell. See the module docs for the invariants.
 pub struct LazyEss {
     catalog: Arc<Catalog>,
     query: Arc<Query>,
     model: CostModel,
-    config: EssConfig,
     grid: Grid,
     /// Geometric contour ratio.
     ratio: f64,
     cmin: f64,
-    cmax: f64,
     /// Lower band edges `cc[i] = cmin · ratio^i`; `cc.len()` is `m`.
     cc: Vec<f64>,
     /// `Some(stride)` iff the effective mode is recost (mirrors the
@@ -175,16 +140,6 @@ impl LazyEss {
         }
         let dims = query.dims().max(1);
         let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        Self::begin_on(catalog, query, model, config, grid)
-    }
-
-    fn begin_on(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        grid: Grid,
-    ) -> RqpResult<Arc<LazyEss>> {
         // The anchor DP is the lazy counterpart of the eager compile span:
         // it is all the single-flight window covers, so it carries the
         // same span name (kind Compile) for trace continuity.
@@ -238,11 +193,9 @@ impl LazyEss {
             catalog: Arc::new(catalog.clone()),
             query: Arc::new(query.clone()),
             model,
-            config,
             grid,
             ratio,
             cmin,
-            cmax,
             cc,
             stride,
             is_seed,
@@ -250,191 +203,6 @@ impl LazyEss {
             finished: OnceLock::new(),
             prefetch_hi: AtomicUsize::new(0),
         }))
-    }
-
-    /// Like [`LazyEss::begin`], but consults a persistent cache first: a
-    /// complete snapshot short-circuits to an eager surface, a partial
-    /// snapshot warm-starts the frontier, and anything else begins cold.
-    ///
-    /// # Errors
-    /// Propagates [`LazyEss::begin`] errors; unusable cache entries are
-    /// treated as misses, never as failures.
-    pub fn begin_cached(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        cache: Option<&crate::CompileCache>,
-    ) -> RqpResult<LazyStart> {
-        if let Some(cache) = cache {
-            let fp = crate::compile_fingerprint(catalog, query, &model, &config);
-            if let Some(ess) = cache.load(fp).and_then(|snap| snap.restore().ok()) {
-                crate::obs::metrics().cache_hits.inc();
-                return Ok(LazyStart::Full(Arc::new(ess)));
-            }
-            if let Some(partial) = cache.load_partial(fp) {
-                if let Ok(lazy) = LazyEss::resume(catalog, query, model, config, partial) {
-                    crate::obs::metrics().cache_hits.inc();
-                    return Ok(LazyStart::Lazy(lazy));
-                }
-            }
-            crate::obs::metrics().cache_misses.inc();
-        }
-        Ok(LazyStart::Lazy(LazyEss::begin(catalog, query, model, config)?))
-    }
-
-    /// Rehydrate a lazy compile from a stored [`PartialSurface`], resuming
-    /// exactly where [`LazyEss::partial`] captured it. Resumed compilation
-    /// is deterministic, so finishing a resumed surface produces the same
-    /// bytes as finishing the original (or compiling eagerly).
-    ///
-    /// # Errors
-    /// Returns [`RqpError::Snapshot`] if the partial disagrees with the
-    /// configuration's grid or is internally inconsistent.
-    pub fn resume(
-        catalog: &Catalog,
-        query: &Query,
-        model: CostModel,
-        config: EssConfig,
-        partial: PartialSurface,
-    ) -> RqpResult<Arc<LazyEss>> {
-        let bad = |msg: String| RqpError::Snapshot(format!("partial surface: {msg}"));
-        let dims = query.dims().max(1);
-        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        if partial.grid != grid {
-            return Err(bad("grid does not match the resuming configuration".into()));
-        }
-        if !cost_eq(partial.ratio, config.contour_ratio) {
-            return Err(bad(format!(
-                "contour ratio {} does not match configured {}",
-                partial.ratio, config.contour_ratio
-            )));
-        }
-        let this = Self::begin_on(catalog, query, model, config, grid)?;
-        {
-            let mut st = this.state.lock();
-            // the anchors must agree bitwise, or the stored ladder is for a
-            // different surface than this catalog/query/model produces
-            if partial.cmin.to_bits() != this.cmin.to_bits()
-                || partial.cmax.to_bits() != this.cmax.to_bits()
-            {
-                return Err(bad("ladder anchors disagree with a fresh compile".into()));
-            }
-            let m = this.cc.len();
-            if partial.compiled_through >= m as isize
-                || partial.bands.len() as isize != partial.compiled_through + 1
-            {
-                return Err(bad(format!(
-                    "compiled_through {} inconsistent with {} stored bands (ladder m {m})",
-                    partial.compiled_through,
-                    partial.bands.len()
-                )));
-            }
-            // wipe the cold-start parking and replay the stored frontier
-            *st = Frontier::new(this.grid.num_cells());
-            for plan in &partial.plans {
-                st.registry.insert(plan.clone());
-            }
-            if st.registry.len() != partial.plans.len() {
-                return Err(bad("duplicate plans in stored registry".into()));
-            }
-            let fp_of = |idx: u32| -> RqpResult<Fingerprint> {
-                partial
-                    .plans
-                    .get(idx as usize)
-                    .map(Fingerprint::of)
-                    .ok_or_else(|| bad(format!("plan index {idx} out of range")))
-            };
-            let admit =
-                |st: &mut Frontier, cell: Cell, band: u32, idx: u32, cost: f64| -> RqpResult<()> {
-                    if cell >= this.grid.num_cells() || band as usize >= m {
-                        return Err(bad(format!("cell {cell} / band {band} out of range")));
-                    }
-                    if st.visited[cell] {
-                        return Err(bad(format!("cell {cell} recorded twice")));
-                    }
-                    if !(cost.is_finite() && cost > 0.0) && (band as usize) < m - 1 {
-                        return Err(bad(format!("cell {cell} has degenerate cost {cost}")));
-                    }
-                    st.slot[cell] = Some((fp_of(idx)?, cost));
-                    st.visited[cell] = true;
-                    st.band_of[cell] = band;
-                    Ok(())
-                };
-            for (b, members) in partial.bands.iter().enumerate() {
-                let mut frozen = Vec::with_capacity(members.len());
-                for &(cell, idx, cost) in members {
-                    admit(&mut st, cell, b as u32, idx, cost)?;
-                    frozen.push(cell);
-                }
-                frozen.sort_unstable();
-                st.bands.push(Arc::new(frozen));
-            }
-            for &(cell, band, idx, cost) in &partial.parked {
-                if (band as isize) <= partial.compiled_through {
-                    return Err(bad(format!("parked cell {cell} below the compile cursor")));
-                }
-                admit(&mut st, cell, band, idx, cost)?;
-                st.parked.push(cell);
-            }
-            st.compiled_through = partial.compiled_through;
-        }
-        Ok(this)
-    }
-
-    /// Persist the current frontier into `cache` under this surface's
-    /// compile fingerprint, so a later process can [`LazyEss::resume`].
-    ///
-    /// # Errors
-    /// Returns [`RqpError::Config`] if the entry cannot be written.
-    pub fn checkpoint(&self, cache: &crate::CompileCache) -> RqpResult<()> {
-        let fp = crate::compile_fingerprint(&self.catalog, &self.query, &self.model, &self.config);
-        cache.store_partial(fp, &self.partial())?;
-        crate::obs::metrics().cache_stores.inc();
-        Ok(())
-    }
-
-    /// Capture the current frontier as a storable [`PartialSurface`].
-    pub fn partial(&self) -> PartialSurface {
-        let st = self.state.lock();
-        let plans: Vec<PlanNode> = st.registry.iter().map(|(_, p)| (**p).clone()).collect();
-        let record = |cell: Cell| -> (u32, f64) {
-            match st.slot[cell] {
-                Some((fp, cost)) => (st.registry.get(fp).map(|id| id.0).unwrap_or(0), cost),
-                // unreachable: visited cells are always costed
-                None => (0, f64::NAN),
-            }
-        };
-        let bands: Vec<Vec<(Cell, u32, f64)>> = st
-            .bands
-            .iter()
-            .map(|band| {
-                band.iter()
-                    .map(|&cell| {
-                        let (idx, cost) = record(cell);
-                        (cell, idx, cost)
-                    })
-                    .collect()
-            })
-            .collect();
-        let parked: Vec<(Cell, u32, u32, f64)> = st
-            .parked
-            .iter()
-            .map(|&cell| {
-                let (idx, cost) = record(cell);
-                (cell, st.band_of[cell], idx, cost)
-            })
-            .collect();
-        PartialSurface {
-            grid: self.grid.clone(),
-            ratio: self.ratio,
-            cmin: self.cmin,
-            cmax: self.cmax,
-            plans,
-            compiled_through: st.compiled_through,
-            bands,
-            parked,
-        }
     }
 
     /// The grid (fully known up front — laziness is per band, not per axis).
@@ -457,11 +225,6 @@ impl LazyEss {
         self.ratio
     }
 
-    /// The configuration this surface compiles under.
-    pub fn config(&self) -> EssConfig {
-        self.config
-    }
-
     /// Number of bands materialized so far.
     pub fn bands_compiled(&self) -> usize {
         (self.state.lock().compiled_through + 1) as usize
@@ -471,11 +234,6 @@ impl LazyEss {
     /// and oracle peeks) — the laziness measure the tests assert on.
     pub fn costed_cells(&self) -> usize {
         self.state.lock().slot.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Distinct plans discovered so far.
-    pub fn num_plans_discovered(&self) -> usize {
-        self.state.lock().registry.len()
     }
 
     /// Materialize every band up to and including `band` (clamped to the
@@ -826,13 +584,6 @@ impl LazyEss {
             Ok(ess) => Ok(Arc::clone(ess)),
             Err(e) => Err(RqpError::Config(format!("lazy finish: {e}"))),
         }
-    }
-
-    /// The finished surface, if [`finish`] already ran successfully.
-    ///
-    /// [`finish`]: LazyEss::finish
-    pub fn finished(&self) -> Option<Arc<Ess>> {
-        self.finished.get().and_then(|r| r.as_ref().ok()).cloned()
     }
 }
 

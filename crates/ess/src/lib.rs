@@ -24,7 +24,7 @@ pub use anorexic::{anorexic_reduce, Reduced};
 pub use cache::{clear_global_cache_dir, compile_fingerprint, set_global_cache_dir, CompileCache};
 pub use contours::ContourSet;
 pub use grid::{Cell, Grid};
-pub use lazy::{LazyEss, LazyStart, PartialSurface};
+pub use lazy::LazyEss;
 pub use obs::register_metrics;
 pub use posp::{CompileMode, Posp};
 pub use registry::{PlanId, PlanRegistry};

@@ -29,22 +29,11 @@ pub struct PospSnapshot {
     pub cell_cost: Vec<f64>,
     /// Contour cost ratio the snapshot was built with.
     pub contour_ratio: f64,
-    /// Plan fingerprints quarantined by a chaos run against this ESS
-    /// (empty for snapshots captured outside chaos testing; absent in
-    /// older snapshots). Purely advisory: `restore` carries it through so
-    /// a post-mortem can see which plans the supervisor banned.
-    pub quarantined: Vec<u64>,
 }
 
 impl PospSnapshot {
     /// Capture a compiled ESS.
     pub fn capture(ess: &Ess) -> PospSnapshot {
-        PospSnapshot::capture_with_quarantine(ess, Vec::new())
-    }
-
-    /// Capture a compiled ESS together with the plan fingerprints a
-    /// supervised (chaos) run quarantined against it.
-    pub fn capture_with_quarantine(ess: &Ess, quarantined: Vec<u64>) -> PospSnapshot {
         let posp = &ess.posp;
         PospSnapshot {
             grid: posp.grid().clone(),
@@ -52,7 +41,6 @@ impl PospSnapshot {
             cell_plan: posp.grid().cells().map(|c| posp.plan_id(c).0).collect(),
             cell_cost: posp.grid().cells().map(|c| posp.cost(c)).collect(),
             contour_ratio: ess.contours.ratio,
-            quarantined,
         }
     }
 
@@ -136,10 +124,6 @@ impl PospSnapshot {
         );
         m.insert("cell_cost".to_string(), num_array(&self.cell_cost));
         m.insert("contour_ratio".to_string(), JsonValue::Num(self.contour_ratio));
-        m.insert(
-            "quarantined".to_string(),
-            JsonValue::Array(self.quarantined.iter().map(|&q| JsonValue::from(q)).collect()),
-        );
         Ok(JsonValue::Object(m).to_json())
     }
 
@@ -193,19 +177,7 @@ impl PospSnapshot {
         let contour_ratio = v["contour_ratio"]
             .as_f64()
             .ok_or_else(|| bad("contour_ratio is not a number".to_string()))?;
-        // absent in older snapshots → empty
-        let quarantined = match v.get("quarantined") {
-            None => Vec::new(),
-            Some(q) => q
-                .as_array()
-                .ok_or_else(|| bad("quarantined is not an array".to_string()))?
-                .iter()
-                .map(|x| {
-                    x.as_u64().ok_or_else(|| bad("quarantined entry is not a u64".to_string()))
-                })
-                .collect::<RqpResult<Vec<_>>>()?,
-        };
-        Ok(PospSnapshot { grid, plans, cell_plan, cell_cost, contour_ratio, quarantined })
+        Ok(PospSnapshot { grid, plans, cell_plan, cell_cost, contour_ratio })
     }
 }
 
@@ -256,22 +228,6 @@ mod tests {
             assert_eq!(restored.posp.cost(cell), ess.posp.cost(cell));
             assert_eq!(restored.contours.band_of(cell), ess.contours.band_of(cell));
         }
-    }
-
-    #[test]
-    fn quarantine_roundtrips_and_defaults_to_empty() {
-        let ess = compiled();
-        let snap = PospSnapshot::capture_with_quarantine(&ess, vec![7, 42]);
-        assert_eq!(snap.quarantined, vec![7, 42]);
-        let json = snap.to_json().unwrap();
-        let back = PospSnapshot::from_json(&json).unwrap();
-        assert_eq!(back.quarantined, vec![7, 42]);
-        assert!(PospSnapshot::capture(&ess).quarantined.is_empty());
-        // snapshots from before the field existed decode to empty
-        let legacy =
-            json.replace(",\"quarantined\":[7,42]", "").replace("\"quarantined\":[7,42],", "");
-        assert!(!legacy.contains("quarantined"), "test must actually strip the key");
-        assert!(PospSnapshot::from_json(&legacy).unwrap().quarantined.is_empty());
     }
 
     #[test]

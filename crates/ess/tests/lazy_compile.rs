@@ -1,14 +1,13 @@
 //! Integration tests for the lazy anytime compiler: band-by-band
 //! materialization must be cell-for-cell indistinguishable from the eager
 //! pipeline (same costs to the bit, same plan assignment, same contour
-//! membership), stopping at band `k` must never cost cells above `k`'s
-//! boundary layer, and a partial snapshot must round-trip through the
-//! cache and resume to a byte-identical final surface.
+//! membership), and stopping at band `k` must never cost cells above
+//! `k`'s boundary layer.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder, RqpResult};
-use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, LazyEss, LazyStart, PospSnapshot};
+use rqp_ess::{CompileMode, Ess, EssConfig, LazyEss, PospSnapshot};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::CostModel;
 
@@ -182,77 +181,6 @@ fn oracle_peeks_cost_single_cells_not_bands() {
     let again = lazy.cost(mid);
     assert_eq!(c.to_bits(), again.to_bits());
     assert_eq!(lazy.costed_cells(), baseline + 1);
-}
-
-#[test]
-fn partial_snapshot_roundtrips_and_resumes_to_identical_surface() {
-    let catalog = catalog();
-    let query = query(&catalog, 3).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let model = CostModel::default();
-    let cfg = config(3, CompileMode::Recost { seed_stride: 3 });
-    let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("rqp-lazy-partial-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = CompileCache::new(&dir).unwrap();
-
-    // compile part-way, checkpoint, drop the original
-    let fp = rqp_ess::compile_fingerprint(&catalog, &query, &model, &cfg);
-    {
-        let lazy = LazyEss::begin(&catalog, &query, model, cfg).unwrap();
-        lazy.compile_through(1);
-        lazy.checkpoint(&cache).unwrap();
-    }
-
-    // reload in a "new process": begin_cached finds the partial
-    let resumed = match LazyEss::begin_cached(&catalog, &query, model, cfg, Some(&cache)).unwrap() {
-        LazyStart::Lazy(lazy) => lazy,
-        LazyStart::Full(_) => panic!("no full snapshot was stored"),
-    };
-    assert_eq!(resumed.bands_compiled(), 2, "warm start must resume below the stored cursor");
-
-    // resuming to the terminus yields the same bytes as the eager compile
-    let finished = resumed.finish().unwrap();
-    assert_eq!(
-        PospSnapshot::capture(&eager).to_json().unwrap(),
-        PospSnapshot::capture(&finished).to_json().unwrap(),
-        "resumed surface must serialize byte-identically to the eager one"
-    );
-
-    // a corrupted partial is quarantined and treated as a cold start
-    let path = dir.join(format!("posp-{fp:016x}.partial.rqpc"));
-    assert!(path.exists());
-    std::fs::write(&path, "rqp-posp-partial v1 garbage").unwrap();
-    match LazyEss::begin_cached(&catalog, &query, model, cfg, Some(&cache)).unwrap() {
-        LazyStart::Lazy(lazy) => assert_eq!(lazy.bands_compiled(), 0, "cold start expected"),
-        LazyStart::Full(_) => panic!("no full snapshot was stored"),
-    }
-    assert!(!path.exists(), "corrupt partial must be quarantined aside");
-    assert!(dir.join(format!("posp-{fp:016x}.partial.rqpc.corrupt")).exists());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resume_rejects_mismatched_configurations() {
-    let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let model = CostModel::default();
-    let cfg = config(2, CompileMode::Exact);
-    let lazy = LazyEss::begin(&catalog, &query, model, cfg).unwrap();
-    lazy.compile_through(0);
-    let partial = lazy.partial();
-
-    // wrong resolution: the grid no longer matches
-    let other = EssConfig { resolution: cfg.resolution + 1, ..cfg };
-    assert!(LazyEss::resume(&catalog, &query, model, other, partial.clone()).is_err());
-
-    // wrong ratio: the ladder no longer matches
-    let other = EssConfig { contour_ratio: 3.0, ..cfg };
-    assert!(LazyEss::resume(&catalog, &query, model, other, partial.clone()).is_err());
-
-    // matching config resumes fine
-    assert!(LazyEss::resume(&catalog, &query, model, cfg, partial).is_ok());
 }
 
 #[test]

@@ -26,9 +26,9 @@
 //! | `bare-allow` | deny | every `allow` directive carries a reason |
 //!
 //! Test modules (`#[cfg(test)]`, `#[test]`), `tests/`, `benches/`,
-//! `examples/` and the `crates/bench` harness are exempt. A single site
-//! can be waived with a *reasoned* directive on the offending line or the
-//! line above it:
+//! `examples/` and the `crates/bench` and `perfbench` harnesses are
+//! exempt. A single site can be waived with a *reasoned* directive on the
+//! offending line or the line above it:
 //!
 //! ```text
 //! // rqp-lint: allow(<rule>): <why this site is safe>
@@ -171,6 +171,7 @@ fn is_test_like(path: &str) -> bool {
         || path.starts_with("benches/")
         || path.starts_with("examples/")
         || path.starts_with("crates/bench/")
+        || path.starts_with("perfbench/")
         || path.contains("/tests/")
         || path.contains("/benches/")
         || path.contains("/examples/")
@@ -515,6 +516,7 @@ mod tests {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         assert!(lint_source("crates/core/tests/it.rs", src).is_empty());
         assert!(lint_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(lint_source("perfbench/src/main.rs", src).is_empty());
         assert!(lint_source("examples/demo.rs", src).is_empty());
     }
 

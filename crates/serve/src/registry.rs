@@ -416,10 +416,10 @@ impl EssRegistry {
         let Some(cache) = &self.cache else { return };
         match injector.inject(CompileSeam::CacheLoad) {
             Some(CompileFault::CorruptEntry) => {
-                let path = cache.dir().join(format!("posp-{fp:016x}.rqpc"));
+                let path = cache.entry_path(fp);
                 if path.exists() {
                     // rqp-lint: allow(swallowed-result): best-effort chaos corruption; a failed write just means no fault fired
-                    let _ = std::fs::write(&path, "rqp-posp-cache v2 CORRUPTED-BY-CHAOS\n");
+                    let _ = std::fs::write(&path, "CORRUPTED-BY-CHAOS\n");
                 }
             }
             Some(CompileFault::SlowIo { millis }) => {
@@ -1118,6 +1118,36 @@ mod tests {
         let stats = reg.stats();
         assert_eq!(stats.compiles, compiles_before, "zero recompiles after the wipe");
         assert_eq!(stats.disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_chaos_corrupted_entry_is_quarantined_and_recompiled() {
+        use rqp_chaos::{CompileFaultConfig, CompileFaultPlan};
+        let dir = std::env::temp_dir().join(format!("rqp-reg-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CompileCache::new(&dir).unwrap();
+        let path = cache.entry_path(4);
+        let corrupt = path.with_extension("rqpc.corrupt");
+        let plan = CompileFaultPlan::new(CompileFaultConfig::single(11, "corrupt_entry", 1.0));
+        let reg =
+            EssRegistry::new(2).with_cache(cache.clone()).with_compile_injector(Arc::new(plan));
+        let (_, l1) = reg.get_or_compile(4, Deadline::none(), compile_example).unwrap();
+        assert_eq!(l1, Lookup::Compiled);
+        assert!(path.exists(), "the compile is written behind");
+
+        reg.wipe();
+        let corrupt_before = rqp_obs::global().counter(rqp_obs::names::ESS_CACHE_CORRUPT).get();
+        let (_, l2) = reg.get_or_compile(4, Deadline::none(), compile_example).unwrap();
+        assert_eq!(l2, Lookup::Compiled, "a corrupted entry must not restore");
+        assert!(corrupt.exists(), "the corrupted entry is quarantined aside");
+        assert_eq!(
+            rqp_obs::global().counter(rqp_obs::names::ESS_CACHE_CORRUPT).get(),
+            corrupt_before + 1
+        );
+        assert_eq!(reg.stats().disk_hits, 0);
+        // the recompile was written behind and loads again
+        assert!(cache.load(4).is_some(), "the write-behind entry must load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

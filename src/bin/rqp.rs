@@ -173,10 +173,11 @@ fn config_for(flags: &HashMap<String, String>, dims: usize) -> EssConfig {
 fn cache_summary() -> String {
     let g = robust_qp::obs::global();
     format!(
-        "compile cache: {} hit(s), {} miss(es), {} store(s)",
+        "compile cache: {} hit(s), {} miss(es), {} store(s), {} corrupt",
         g.counter(robust_qp::obs::names::ESS_CACHE_HITS).get(),
         g.counter(robust_qp::obs::names::ESS_CACHE_MISSES).get(),
-        g.counter(robust_qp::obs::names::ESS_CACHE_STORES).get()
+        g.counter(robust_qp::obs::names::ESS_CACHE_STORES).get(),
+        g.counter(robust_qp::obs::names::ESS_CACHE_CORRUPT).get()
     )
 }
 
