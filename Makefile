@@ -1,6 +1,6 @@
 # Convenience targets for the robust-qp workspace.
 
-.PHONY: verify build test clippy lint lint-graph bench bench-compile bench-trace bench-lazy cache-smoke serve-smoke serve-remote-smoke trace-smoke reproduce chaos drill
+.PHONY: verify build test clippy lint lint-graph bench bench-compile bench-trace bench-lazy bench-smoke cache-smoke serve-smoke serve-remote-smoke trace-smoke reproduce chaos drill
 
 # The full pre-merge gate: release build, quiet workspace tests (the same
 # set CI runs), zero clippy warnings, a clean rqp-lint pass (warnings
@@ -66,6 +66,19 @@ bench-trace:
 # first contour band) in BENCH_7.json at the repo root.
 bench-lazy:
 	cargo bench -p rqp-bench --bench compile_lazy
+
+# Benchmark correctness gate: the perfbench harness's own tests, the
+# spread-statistics tests, and one short suite-eval run whose last line
+# must report the golden MSO/ASO check on every evaluation as correct.
+# Runs the files under perfbench/ without editing any of them.
+bench-smoke:
+	cargo test -q --offline --manifest-path perfbench/Cargo.toml
+	python3 perfbench/test_spread.py
+	@mkdir -p target
+	python3 perfbench/run.py --workload suite-eval --seed 1 --seconds 2 --trace 0 > target/bench-smoke.txt
+	tail -n 1 target/bench-smoke.txt
+	tail -n 1 target/bench-smoke.txt | grep -q '"correct": true'
+	@echo "bench-smoke: ok"
 
 # Persistent-cache smoke: the second identical compile must be a disk hit,
 # and a garbage entry must be quarantined to *.corrupt and recompiled.

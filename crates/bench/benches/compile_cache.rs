@@ -29,7 +29,7 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn bench(c: &mut Criterion) {
-    let recost = CompileMode::Recost { seed_stride: 3 };
+    let recost = CompileMode::Recost;
 
     for dims in [2usize, 3, 4] {
         let w = Workload::q91(dims).expect("workload builds");

@@ -94,6 +94,12 @@ fn metrics_and_events_round_trip_through_json_codec() {
     let compile = &snap.histograms["rqp_ess_compile_seconds"];
     assert!(compile.count >= 1, "ESS compile timing missing");
     assert!(compile.sum > 0.0);
+    // the compile's two phases, which per-layer reports read
+    for phase in ["rqp_ess_posp_compile_seconds", "rqp_ess_contour_build_seconds"] {
+        let h = &snap.histograms[phase];
+        assert!(h.count >= 1 && h.sum > 0.0, "{phase} missing from the compile");
+    }
+    assert!(snap.counters["rqp_ess_posp_cells_total"] >= 7 * 7, "every grid cell is counted");
     assert!(
         snap.counters.contains_key("rqp_discovery_runs_total{algo=\"PB-raw\"}"),
         "per-algorithm execution counters missing"

@@ -146,7 +146,7 @@ mod tests {
     use rqp_optimizer::Optimizer;
     use rqp_qplan::CostModel;
 
-    fn compiled_ess() -> Ess {
+    fn compiled_ess() -> std::sync::Arc<Ess> {
         let (catalog, query) = example_2d();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
         Ess::compile(&opt, EssConfig { resolution: 8, ..Default::default() }).unwrap()

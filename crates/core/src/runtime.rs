@@ -74,7 +74,7 @@ impl<'a> RobustRuntime<'a> {
         config: EssConfig,
     ) -> RqpResult<Self> {
         Self::admit(catalog, query, model, |optimizer| {
-            Ok(Surface::Eager(Arc::new(Ess::compile(optimizer, config)?)))
+            Ok(Surface::Eager(Ess::compile(optimizer, config)?))
         })
     }
 

@@ -25,7 +25,7 @@
 //! against 7.5–9.8 ms to read, checksum and decode the text entries from
 //! disk (five repeats, 2-core dev host).
 
-use crate::posp::CompileMode;
+use crate::posp::{CompileMode, SEED_STRIDE};
 use crate::snapshot::PospSnapshot;
 use crate::EssConfig;
 use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
@@ -100,9 +100,9 @@ pub fn compile_fingerprint(
     h.write_f64(config.contour_ratio);
     match config.mode {
         CompileMode::Exact => h.write_u8(0),
-        CompileMode::Recost { seed_stride } => {
+        CompileMode::Recost => {
             h.write_u8(1);
-            h.write_usize(seed_stride);
+            h.write_usize(SEED_STRIDE);
         }
     }
     h.finish()

@@ -64,7 +64,7 @@ pub(crate) fn band_index(c: f64, cmin: f64, ratio: f64) -> RqpResult<usize> {
 /// Total variant of [`band_index`] for the lazy compile path: degenerate
 /// costs clamp into the top band `m - 1` (an execution budgeted there is
 /// already charged the worst case) instead of erroring, and regular costs
-/// clamp like the eager build does.
+/// clamp like [`ContourSet::build`] does.
 pub(crate) fn band_index_clamped(c: f64, cmin: f64, ratio: f64, m: usize) -> usize {
     debug_assert!(m >= 1);
     match band_index(c, cmin, ratio) {
@@ -165,6 +165,7 @@ impl ContourSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile_exact;
     use crate::grid::Grid;
     use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder};
     use rqp_optimizer::Optimizer;
@@ -205,9 +206,8 @@ mod tests {
     fn compiled() -> (Posp, ContourSet) {
         let (catalog, query) = fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        let posp = Posp::compile(&opt, Grid::uniform(2, 12, 1e-6).unwrap());
-        let contours = ContourSet::build(&posp, 2.0).unwrap();
-        (posp, contours)
+        let ess = compile_exact(&opt, 12, 1e-6);
+        (ess.posp, ess.contours)
     }
 
     /// A synthetic one-plan POSP whose cell costs are chosen exactly.

@@ -150,6 +150,11 @@ impl Grid {
         (cell / self.strides[d]) % self.axes[d].len()
     }
 
+    /// Linear-index step of one coordinate along dimension `d`.
+    pub(crate) fn stride(&self, d: usize) -> usize {
+        self.strides[d]
+    }
+
     /// Linear index from coordinates.
     pub fn index(&self, coords: &[usize]) -> Cell {
         debug_assert_eq!(coords.len(), self.dims());

@@ -1,29 +1,34 @@
-//! Lazy anytime POSP compilation: contour bands materialize on demand.
+//! The ESS compiler: an anytime flood that materializes contour bands on
+//! demand, or runs to completion for a whole surface.
 //!
 //! The discovery algorithms climb iso-cost contours in budget order and
-//! most runs terminate well below the top band, yet the eager
-//! [`crate::Ess::compile`] pays for the *entire* surface up front. This
-//! module compiles band-by-band instead: [`LazyEss::compile_through`]
-//! floods the grid outward from the origin one cost band at a time, so a
-//! discovery that terminates at contour `k` never invokes the optimizer on
-//! cells above `k`'s boundary layer (the **frontier invariant**: a cell is
-//! costed only when it is a `+1` neighbor of some cell in a band `≤ k`).
+//! most runs terminate well below the top band, so the surface is compiled
+//! band by band: [`LazyEss::compile_through`] floods the grid outward from
+//! the origin one cost band at a time, and a discovery that terminates at
+//! contour `k` never invokes the optimizer on cells above `k`'s boundary
+//! layer (the **frontier invariant**: a cell is costed only when it is a
+//! `+1` neighbor of some cell in a band `≤ k`). [`crate::Ess::compile`] is
+//! this same flood run through the top band and finished.
 //!
-//! Parity with the eager compiler is load-bearing, not best-effort:
+//! What the flood guarantees, and the oracle tests pin:
 //!
-//! - Per-cell costs are bitwise identical. [`CompileMode::Exact`] runs the
-//!   same DP per cell; recost mode replays the exact seed-lattice protocol
-//!   ([`crate::posp::seed_marks`] / [`crate::posp::seed_box`]), DP'ing seed
-//!   corners on demand and memoizing them, so every cell sees the same
-//!   corner fingerprints and takes the same recost-vs-fallback branch.
+//! - Per-cell costs are the optimizer's. [`CompileMode::Exact`] DPs every
+//!   cell, so each cost and plan is bitwise a direct `Optimizer::optimize`
+//!   at that cell. Recost mode DPs the seed lattice
+//!   ([`crate::posp::seed_marks`] / [`crate::posp::seed_corners`]) on demand,
+//!   memoizing seed corners, and recosts a cell whose corners agree, so
+//!   every cell is `cost_eq` to the DP optimum and its cost is its plan's.
+//!   Which branch a cell takes depends only on its corners, never on the
+//!   order the flood reaches it.
 //! - The band ladder is anchored at the origin and terminus cells — under
-//!   plan-cost monotonicity (PCM, §2.5) exactly the eager `cmin`/`cmax` —
-//!   and band membership uses the same epsilon-settled
-//!   [`crate::contours::band_index`] arithmetic.
+//!   plan-cost monotonicity (PCM, §2.5) exactly the surface's `cmin` and
+//!   `cmax` — and band membership uses the same epsilon-settled
+//!   [`crate::contours::band_index`] arithmetic as [`ContourSet::build`].
 //! - [`LazyEss::finish`] feeds the completed surface through
-//!   [`Posp::assemble`] in cell-index order, reproducing the eager
-//!   first-seen plan-id assignment, so the finished snapshot is
-//!   byte-identical to an eager compile's.
+//!   [`Posp::assemble`] in cell-index order, so plan ids follow first-seen
+//!   cell order whatever order the flood discovered them in, and a
+//!   finished surface is byte-identical however many bands were compiled
+//!   before it finished.
 //!
 //! Concurrency: one [`parking_lot::Mutex`] guards the frontier, making
 //! band materialization single-flight — peers that ask for a band already
@@ -36,7 +41,7 @@
 
 use crate::contours::{band_index, band_index_clamped};
 use crate::grid::{Cell, Grid};
-use crate::posp::{is_seed_cell, seed_box, seed_marks, CompileMode, Posp};
+use crate::posp::{is_seed_cell, seed_corners, seed_marks, CompileMode, Posp};
 use crate::registry::{PlanId, PlanRegistry};
 use crate::{ContourSet, Ess, EssConfig};
 use parking_lot::Mutex;
@@ -44,7 +49,6 @@ use rayon::prelude::*;
 use rqp_catalog::{Catalog, Query, RqpError, RqpResult};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::{cost_eq, CostModel, Fingerprint, PlanNode};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -71,7 +75,7 @@ struct Frontier {
     /// the cursor to reach them.
     parked: Vec<Cell>,
     /// Plans discovered so far, ids in discovery order (canonicalized to
-    /// the eager first-seen-by-cell order only by [`LazyEss::finish`]).
+    /// first-seen-by-cell order only by [`LazyEss::finish`]).
     registry: PlanRegistry,
     /// Highest fully materialized band; `-1` before the first.
     compiled_through: isize,
@@ -89,10 +93,23 @@ impl Frontier {
             compiled_through: -1,
         }
     }
+
+    /// Register a plan the caller just planned, or — when `plan` is
+    /// `None` or the registry already holds its fingerprint — count the
+    /// rediscovery.
+    fn record(&mut self, fp: Fingerprint, plan: Option<PlanNode>) {
+        match plan {
+            Some(plan) if self.registry.get(fp).is_none() => {
+                self.registry.insert_shared(fp, Arc::new(plan));
+            }
+            // another cell already compiled this exact plan
+            _ => crate::obs::metrics().memo_hits.inc(),
+        }
+    }
 }
 
-/// An anytime, band-by-band ESS compiler sharing the eager pipeline's
-/// arithmetic cell for cell. See the module docs for the invariants.
+/// The anytime, band-by-band ESS compiler. See the module docs for the
+/// invariants.
 pub struct LazyEss {
     catalog: Arc<Catalog>,
     query: Arc<Query>,
@@ -103,11 +120,8 @@ pub struct LazyEss {
     cmin: f64,
     /// Lower band edges `cc[i] = cmin · ratio^i`; `cc.len()` is `m`.
     cc: Vec<f64>,
-    /// `Some(stride)` iff the effective mode is recost (mirrors the
-    /// `seed_stride > 1 && dims <= 8` guard in [`Posp::compile_with`]).
-    stride: Option<usize>,
-    /// Seed marks per dimension (empty in exact mode).
-    is_seed: Vec<Vec<bool>>,
+    /// Seed marks per dimension; `Some` iff the effective mode is recost.
+    is_seed: Option<Vec<Vec<bool>>>,
     state: Mutex<Frontier>,
     /// The finished, canonicalized surface (error kept as text so the
     /// result is cloneable out of the cell).
@@ -119,8 +133,7 @@ pub struct LazyEss {
 impl LazyEss {
     /// Start a lazy compile: builds the grid, DPs only the origin and
     /// terminus cells (the ladder anchors — both are seed cells in recost
-    /// mode, so their costs match an eager compile bitwise), and parks
-    /// them for the flood.
+    /// mode), and parks them for the flood.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] for a bad contour ratio or a
@@ -132,6 +145,26 @@ impl LazyEss {
         model: CostModel,
         config: EssConfig,
     ) -> RqpResult<Arc<LazyEss>> {
+        // The anchor DP is all the single-flight window of a lazy serve
+        // covers, so it carries the compile span name (kind Compile).
+        let mut compile_span =
+            rqp_obs::current().span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
+        compile_span.attr("query", query.name.as_str());
+        compile_span.attr("lazy", "anchors");
+        let lazy = LazyEss::anchor(catalog, query, model, config)?;
+        compile_span.attr("grid_cells", lazy.grid.num_cells() as u64);
+        compile_span.attr("contour_bands", lazy.num_bands() as u64);
+        Ok(Arc::new(lazy))
+    }
+
+    /// [`LazyEss::begin`] without its compile span, for callers that
+    /// already hold one.
+    pub(crate) fn anchor(
+        catalog: &Catalog,
+        query: &Query,
+        model: CostModel,
+        config: EssConfig,
+    ) -> RqpResult<LazyEss> {
         if !(config.contour_ratio.is_finite() && config.contour_ratio > 1.0) {
             return Err(RqpError::Config(format!(
                 "contour ratio must exceed 1, got {}",
@@ -140,21 +173,11 @@ impl LazyEss {
         }
         let dims = query.dims().max(1);
         let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        // The anchor DP is the lazy counterpart of the eager compile span:
-        // it is all the single-flight window covers, so it carries the
-        // same span name (kind Compile) for trace continuity.
-        let mut compile_span =
-            rqp_obs::current().span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
-        compile_span.attr("query", query.name.as_str());
-        compile_span.attr("lazy", "anchors");
         let ratio = config.contour_ratio;
-        let stride = match config.mode {
-            CompileMode::Recost { seed_stride } if seed_stride > 1 && grid.dims() <= 8 => {
-                Some(seed_stride)
-            }
-            _ => None,
-        };
-        let is_seed = stride.map(|s| seed_marks(&grid, s)).unwrap_or_default();
+        // the corner-agreement test enumerates 2^dims seed-box corners;
+        // past 8 dims the sublattice stops being a win, compile exactly
+        let is_seed =
+            (config.mode == CompileMode::Recost && grid.dims() <= 8).then(|| seed_marks(&grid));
 
         let opt = Optimizer::new(catalog, query, model);
         let mut st = Frontier::new(grid.num_cells());
@@ -163,7 +186,7 @@ impl LazyEss {
             if st.slot[cell].is_none() {
                 let planned = opt.optimize(&grid.location(cell));
                 let fp = Fingerprint::of(&planned.plan);
-                st.registry.insert(planned.plan);
+                st.registry.insert_shared(fp, Arc::new(planned.plan));
                 st.slot[cell] = Some((fp, planned.cost));
             }
         }
@@ -185,11 +208,7 @@ impl LazyEss {
             }
         }
 
-        compile_span.attr("grid_cells", grid.num_cells() as u64);
-        compile_span.attr("contour_bands", m as u64);
-        drop(compile_span);
-
-        Ok(Arc::new(LazyEss {
+        Ok(LazyEss {
             catalog: Arc::new(catalog.clone()),
             query: Arc::new(query.clone()),
             model,
@@ -197,12 +216,11 @@ impl LazyEss {
             ratio,
             cmin,
             cc,
-            stride,
             is_seed,
             state: Mutex::new(st),
             finished: OnceLock::new(),
             prefetch_hi: AtomicUsize::new(0),
-        }))
+        })
     }
 
     /// The grid (fully known up front — laziness is per band, not per axis).
@@ -291,21 +309,18 @@ impl LazyEss {
         let mut coords = vec![0usize; dims];
         while !wave.is_empty() {
             members.extend_from_slice(&wave);
-            let mut fresh: BTreeSet<Cell> = BTreeSet::new();
+            let mut fresh: Vec<Cell> = Vec::new();
             for &c in &wave {
                 grid.coords_into(c, &mut coords);
-                for d in 0..dims {
-                    if coords[d] + 1 < grid.res(d) {
-                        coords[d] += 1;
-                        let n = grid.index(&coords);
-                        coords[d] -= 1;
-                        if !st.visited[n] {
-                            fresh.insert(n);
-                        }
+                for (d, &x) in coords.iter().enumerate() {
+                    let up = c + grid.stride(d);
+                    if x + 1 < grid.res(d) && !st.visited[up] {
+                        fresh.push(up);
                     }
                 }
             }
-            let fresh: Vec<Cell> = fresh.into_iter().collect();
+            fresh.sort_unstable();
+            fresh.dedup();
             self.cost_cells(st, opt, &fresh);
             let mut next = Vec::new();
             for n in fresh {
@@ -335,125 +350,92 @@ impl LazyEss {
         members
     }
 
-    /// Cost every not-yet-costed cell in `cells`, replicating the eager
-    /// per-cell protocol of the effective compile mode.
+    /// Cost every not-yet-costed cell in `cells` under the effective
+    /// compile mode.
     fn cost_cells(&self, st: &mut Frontier, opt: &Optimizer<'_>, cells: &[Cell]) {
-        let grid = &self.grid;
-        match self.stride {
-            None => {
-                let jobs: Vec<Cell> =
-                    cells.iter().copied().filter(|&c| st.slot[c].is_none()).collect();
-                let done: Vec<(Cell, Fingerprint, PlanNode, f64)> = jobs
-                    .into_par_iter()
-                    .map(|cell| {
-                        let planned = opt.optimize(&grid.location(cell));
-                        let fp = Fingerprint::of(&planned.plan);
-                        (cell, fp, planned.plan, planned.cost)
-                    })
-                    .collect();
-                for (cell, fp, plan, cost) in done {
-                    if st.registry.get(fp).is_some() {
-                        crate::obs::metrics().memo_hits.inc();
-                    }
-                    st.registry.insert(plan);
-                    st.slot[cell] = Some((fp, cost));
-                }
-            }
-            Some(stride) => self.cost_cells_recost(st, opt, cells, stride),
+        let jobs: Vec<Cell> = cells.iter().copied().filter(|&c| st.slot[c].is_none()).collect();
+        match &self.is_seed {
+            None => self.optimize_cells(st, opt, jobs),
+            Some(is_seed) => self.cost_cells_recost(st, opt, jobs, is_seed),
         }
     }
 
-    /// Recost-mode costing: DP any needed seed cells first (the cells
-    /// themselves when on the sublattice, plus the seed-box corners of
-    /// those that are not), then fill non-seed cells by corner agreement
-    /// exactly as [`crate::posp`]'s eager pass does.
-    fn cost_cells_recost(
-        &self,
-        st: &mut Frontier,
-        opt: &Optimizer<'_>,
-        cells: &[Cell],
-        stride: usize,
-    ) {
+    /// Full DP at each of `jobs`. A plan the registry already holds is
+    /// dropped as soon as its cell is planned, so a wave keeps alive only
+    /// the trees it discovers.
+    fn optimize_cells(&self, st: &mut Frontier, opt: &Optimizer<'_>, jobs: Vec<Cell>) {
         let grid = &self.grid;
-        let dims = grid.dims();
-        let metrics = crate::obs::metrics();
-        let mut seed_jobs: BTreeSet<Cell> = BTreeSet::new();
-        let mut fill_jobs: Vec<Cell> = Vec::new();
-        let mut lo = vec![0usize; dims];
-        let mut hi = vec![0usize; dims];
-        let mut coords = vec![0usize; dims];
-        for &cell in cells {
-            if st.slot[cell].is_some() {
-                continue;
-            }
-            if is_seed_cell(grid, &self.is_seed, cell) {
-                seed_jobs.insert(cell);
-                continue;
-            }
-            fill_jobs.push(cell);
-            seed_box(grid, &self.is_seed, stride, cell, &mut lo, &mut hi);
-            for mask in 0u32..(1u32 << dims) {
-                for d in 0..dims {
-                    coords[d] = if mask & (1 << d) != 0 { hi[d] } else { lo[d] };
-                }
-                let corner = grid.index(&coords);
-                if st.slot[corner].is_none() {
-                    seed_jobs.insert(corner);
-                }
-            }
-        }
-
-        let seed_jobs: Vec<Cell> = seed_jobs.into_iter().collect();
-        metrics.seed_cells.add(seed_jobs.len() as u64);
-        let seeded: Vec<(Cell, Fingerprint, PlanNode, f64)> = seed_jobs
+        let registry = &st.registry;
+        let done: Vec<(Cell, Fingerprint, Option<PlanNode>, f64)> = jobs
             .into_par_iter()
             .map(|cell| {
                 let planned = opt.optimize(&grid.location(cell));
                 let fp = Fingerprint::of(&planned.plan);
-                (cell, fp, planned.plan, planned.cost)
+                let fresh = registry.get(fp).is_none().then_some(planned.plan);
+                (cell, fp, fresh, planned.cost)
             })
             .collect();
-        for (cell, fp, plan, cost) in seeded {
-            if st.registry.get(fp).is_some() {
-                metrics.memo_hits.inc();
-            }
-            st.registry.insert(plan);
+        for (cell, fp, plan, cost) in done {
+            st.record(fp, plan);
             st.slot[cell] = Some((fp, cost));
         }
+    }
 
-        // fill pass: corners are all costed now; read-only over the memo
+    /// Recost-mode costing: DP any needed seed cells first (the cells
+    /// themselves when on the sublattice, plus the missing seed-box
+    /// corners of those that are not), then fill non-seed cells by corner
+    /// agreement, falling back to full DP where the corners disagree. A
+    /// cell whose costed corners already disagree falls back whatever its
+    /// other corners hold, so those are left for the flood to reach.
+    fn cost_cells_recost(
+        &self,
+        st: &mut Frontier,
+        opt: &Optimizer<'_>,
+        jobs: Vec<Cell>,
+        is_seed: &[Vec<bool>],
+    ) {
+        let grid = &self.grid;
+        let metrics = crate::obs::metrics();
+        let mut seed_jobs: Vec<Cell> = Vec::new();
+        let mut fill_jobs: Vec<Cell> = Vec::new();
+        let mut corners = Vec::new();
+        for cell in jobs {
+            if is_seed_cell(grid, is_seed, cell) {
+                seed_jobs.push(cell);
+                continue;
+            }
+            fill_jobs.push(cell);
+            seed_corners(grid, is_seed, cell, &mut corners);
+            let mut known = corners.iter().filter_map(|&c| st.slot[c].map(|(fp, _)| fp));
+            let split = known.next().is_some_and(|first| known.any(|fp| fp != first));
+            if !split {
+                seed_jobs.extend(corners.iter().copied().filter(|&c| st.slot[c].is_none()));
+            }
+        }
+        seed_jobs.sort_unstable();
+        seed_jobs.dedup();
+        metrics.seed_cells.add(seed_jobs.len() as u64);
+        self.optimize_cells(st, opt, seed_jobs);
+
+        // fill pass: read-only over the memo
         let (slot, registry) = (&st.slot, &st.registry);
         let filled: Vec<(Cell, Fingerprint, Option<PlanNode>, f64, bool)> = fill_jobs
             .par_iter()
             .map(|&cell| {
-                let mut lo = vec![0usize; dims];
-                let mut hi = vec![0usize; dims];
-                let mut coords = vec![0usize; dims];
-                seed_box(grid, &self.is_seed, stride, cell, &mut lo, &mut hi);
-                let mut agreed: Option<Fingerprint> = None;
-                let mut agree = true;
-                'corners: for mask in 0u32..(1u32 << dims) {
-                    for d in 0..dims {
-                        coords[d] = if mask & (1 << d) != 0 { hi[d] } else { lo[d] };
-                    }
-                    match (slot[grid.index(&coords)], agreed) {
-                        (Some((fp, _)), None) => agreed = Some(fp),
-                        (Some((fp, _)), Some(first)) if fp == first => {}
-                        _ => {
-                            agree = false;
-                            break 'corners;
-                        }
-                    }
-                }
-                if let (true, Some(first)) = (agree, agreed) {
-                    if let Some(id) = registry.get(first) {
+                let mut corners = Vec::new();
+                seed_corners(grid, is_seed, cell, &mut corners);
+                let first = slot[corners[0]].map(|(fp, _)| fp);
+                let agreed = corners.iter().all(|&c| slot[c].map(|(fp, _)| fp) == first);
+                if let (true, Some(fp)) = (agreed, first) {
+                    if let Some(id) = registry.get(fp) {
                         let cost = opt.cost_of(registry.plan(id), &grid.location(cell));
-                        return (cell, first, None, cost, true);
+                        return (cell, fp, None, cost, true);
                     }
                 }
                 let planned = opt.optimize(&grid.location(cell));
                 let fp = Fingerprint::of(&planned.plan);
-                (cell, fp, Some(planned.plan), planned.cost, false)
+                let fresh = registry.get(fp).is_none().then_some(planned.plan);
+                (cell, fp, fresh, planned.cost, false)
             })
             .collect();
         for (cell, fp, plan, cost, recosted) in filled {
@@ -461,12 +443,7 @@ impl LazyEss {
                 metrics.recost_cells.inc();
             } else {
                 metrics.recost_fallback_cells.inc();
-                if st.registry.get(fp).is_some() {
-                    metrics.memo_hits.inc();
-                }
-                if let Some(plan) = plan {
-                    st.registry.insert(plan);
-                }
+                st.record(fp, plan);
             }
             st.slot[cell] = Some((fp, cost));
         }
@@ -546,11 +523,10 @@ impl LazyEss {
         });
     }
 
-    /// Complete the surface and canonicalize it into an [`Ess`] that is
-    /// byte-identical to an eager compile: flood the remaining bands, then
-    /// assemble per-cell results in cell-index order (reproducing the
-    /// eager first-seen plan-id assignment) and rebuild the contours from
-    /// the full surface.
+    /// Complete the surface and canonicalize it into an [`Ess`]: flood the
+    /// remaining bands, then assemble per-cell results in cell-index order
+    /// (plan ids in first-seen cell order) and build the contours from the
+    /// full surface.
     ///
     /// # Errors
     /// Returns [`RqpError::Config`] if the completed surface cannot be
@@ -559,25 +535,22 @@ impl LazyEss {
         let out = self.finished.get_or_init(|| {
             self.compile_through(self.num_bands() - 1);
             let st = self.state.lock();
-            let mut per_cell: Vec<(Fingerprint, f64)> = Vec::with_capacity(self.grid.num_cells());
-            for cell in self.grid.cells() {
-                match st.slot[cell] {
-                    Some(entry) => per_cell.push(entry),
-                    None => {
-                        return Err(format!(
-                            "cell {cell} left uncosted by a completed lazy compile"
-                        ))
-                    }
-                }
-            }
-            let plans = st
-                .registry
+            let per_cell = st
+                .slot
                 .iter()
-                .map(|(_, p)| (Fingerprint::of(p), (**p).clone()))
-                .collect::<std::collections::HashMap<_, _>>();
+                .enumerate()
+                .map(|(cell, slot)| {
+                    slot.ok_or_else(|| format!("cell {cell} left uncosted by a completed compile"))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let posp = Posp::assemble(self.grid.clone(), per_cell, &st.registry);
             drop(st);
-            let posp = Posp::assemble(self.grid.clone(), per_cell, plans);
-            let contours = ContourSet::build(&posp, self.ratio).map_err(|e| e.to_string())?;
+            let contours = {
+                let _cb = rqp_obs::current()
+                    .span(rqp_obs::names::SPAN_CONTOUR_BUILD, rqp_obs::SpanKind::CompilePhase)
+                    .with_histogram(&crate::obs::metrics().contour_build_seconds);
+                ContourSet::build(&posp, self.ratio).map_err(|e| e.to_string())?
+            };
             Ok(Arc::new(Ess { posp, contours }))
         });
         match out {

@@ -5,10 +5,13 @@
 //! iso-cost contours and anorexic reduction.
 //!
 //! [`Ess::compile`] bundles the full pipeline: discretize the selectivity
-//! space ([`grid::Grid`]), invoke the optimizer at every location in
-//! parallel ([`posp::Posp`]), and slice the resulting optimal cost surface
-//! into geometric cost bands ([`contours::ContourSet`]). The robust
-//! processing algorithms in `rqp-core` run entirely against this structure.
+//! space ([`grid::Grid`]), invoke the optimizer over the grid
+//! ([`lazy::LazyEss`], run through its top band), canonicalize the optimal
+//! plans and costs into a [`posp::Posp`], and slice that optimal cost
+//! surface into geometric cost bands ([`contours::ContourSet`]). The same
+//! compiler can also stop early and serve bands on demand. The robust
+//! processing algorithms in `rqp-core` run entirely against these
+//! structures.
 
 pub mod anorexic;
 pub mod cache;
@@ -32,6 +35,7 @@ pub use snapshot::PospSnapshot;
 
 use rqp_catalog::RqpResult;
 use rqp_optimizer::Optimizer;
+use std::sync::Arc;
 
 /// ESS compilation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,21 +106,24 @@ impl Ess {
     /// [`set_global_cache_dir`].
     ///
     /// Errors if the configured grid is degenerate or too large to address.
-    pub fn compile(optimizer: &Optimizer<'_>, config: EssConfig) -> RqpResult<Ess> {
+    pub fn compile(optimizer: &Optimizer<'_>, config: EssConfig) -> RqpResult<Arc<Ess>> {
         Ess::compile_cached(optimizer, config, cache::global_cache().as_ref())
     }
 
     /// Compile the ESS, consulting an explicit persistent cache (if any).
     ///
     /// On a hit, the surface is restored from disk without a single
-    /// optimizer call; a miss compiles normally and stores the snapshot for
-    /// the next run. Entries are keyed by [`compile_fingerprint`], so any
-    /// change to the catalog, query, cost model or config invalidates them.
+    /// optimizer call; a miss runs [`LazyEss`] to completion and stores
+    /// the snapshot for the next run. Entries are keyed by
+    /// [`compile_fingerprint`], so any change to the catalog, query, cost
+    /// model or config invalidates them. The compile plans with the
+    /// optimizer's catalog, query and cost model under the default
+    /// optimizer configuration.
     pub fn compile_cached(
         optimizer: &Optimizer<'_>,
         config: EssConfig,
         cache: Option<&CompileCache>,
-    ) -> RqpResult<Ess> {
+    ) -> RqpResult<Arc<Ess>> {
         let m = obs::metrics();
         m.compiles.inc();
         let span = rqp_obs::time_histogram(&m.compile_seconds);
@@ -145,7 +152,7 @@ impl Ess {
                             .with("seconds", span.stop()),
                     );
                 }
-                return Ok(ess);
+                return Ok(Arc::new(ess));
             }
             m.cache_misses.inc();
             if rqp_obs::events_enabled() {
@@ -157,18 +164,18 @@ impl Ess {
             }
         }
 
-        let dims = optimizer.query().dims().max(1);
-        let grid = Grid::uniform(dims, config.resolution, config.min_sel)?;
-        let posp = Posp::compile_with(optimizer, grid, config.mode);
-
-        let sw = rqp_obs::Stopwatch::start();
-        let contours = {
-            let _cb = tracer
-                .span(rqp_obs::names::SPAN_CONTOUR_BUILD, rqp_obs::SpanKind::CompilePhase)
-                .with_histogram(&m.contour_build_seconds);
-            ContourSet::build(&posp, config.contour_ratio)?
+        let lazy = {
+            let _posp = rqp_obs::time_histogram(&m.posp_compile_seconds);
+            let (catalog, query) = (optimizer.catalog(), optimizer.query());
+            let lazy = LazyEss::anchor(catalog, query, optimizer.model(), config)?;
+            m.posp_cells.add(lazy.grid().num_cells() as u64);
+            lazy.compile_through(lazy.num_bands() - 1);
+            lazy
         };
-        let contour_secs = sw.elapsed_secs();
+        let ess = lazy.finish()?;
+        // the finished surface owns everything it needs; free the frontier
+        drop(lazy);
+        let (posp, contours) = (&ess.posp, &ess.contours);
 
         compile_span.attr("grid_cells", posp.grid().num_cells() as u64);
         compile_span.attr("posp_plans", posp.num_plans() as u64);
@@ -186,24 +193,22 @@ impl Ess {
                         .with("band", band as u64)
                         .with("cost", contours.cc(band))
                         .with("cells", contours.cells(band).len() as u64)
-                        .with("plans", contours.plans_on(&posp, band).len() as u64),
+                        .with("plans", contours.plans_on(posp, band).len() as u64),
                 );
             }
             rqp_obs::emit(
                 rqp_obs::Event::new(rqp_obs::names::EV_ESS_COMPILE)
                     .with("query", optimizer.query().name.as_str())
-                    .with("dims", dims as u64)
+                    .with("dims", posp.grid().dims() as u64)
                     .with("resolution", config.resolution as u64)
                     .with("grid_cells", posp.grid().num_cells() as u64)
                     .with("posp_plans", posp.num_plans() as u64)
                     .with("contour_bands", contours.num_bands() as u64)
                     .with("optimizer_calls", opt_calls.get() - calls_before)
-                    .with("contour_build_seconds", contour_secs)
                     .with("compile_seconds", span.stop()),
             );
         }
 
-        let ess = Ess { posp, contours };
         if let (Some(cache), Some(fp)) = (cache, fingerprint) {
             if cache.store(fp, &PospSnapshot::capture(&ess)).is_ok() {
                 m.cache_stores.inc();
@@ -216,6 +221,14 @@ impl Ess {
     pub fn grid(&self) -> &Grid {
         self.posp.grid()
     }
+}
+
+/// Compile `opt`'s surface in [`CompileMode::Exact`] on a fresh grid, for
+/// the unit-test fixtures.
+#[cfg(test)]
+pub(crate) fn compile_exact(opt: &Optimizer<'_>, resolution: usize, min_sel: f64) -> Ess {
+    let config = EssConfig { mode: CompileMode::Exact, resolution, min_sel, ..Default::default() };
+    Arc::unwrap_or_clone(Ess::compile_cached(opt, config, None).unwrap())
 }
 
 #[cfg(test)]

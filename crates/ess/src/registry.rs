@@ -31,10 +31,16 @@ impl PlanRegistry {
 
     /// Register a plan, returning its id (existing id if already present).
     pub fn insert(&mut self, plan: PlanNode) -> PlanId {
-        let fp = Fingerprint::of(&plan);
+        self.insert_shared(Fingerprint::of(&plan), Arc::new(plan))
+    }
+
+    /// Register a plan whose fingerprint the caller has already computed,
+    /// sharing the tree rather than copying it.
+    pub(crate) fn insert_shared(&mut self, fp: Fingerprint, plan: Arc<PlanNode>) -> PlanId {
+        debug_assert_eq!(fp, Fingerprint::of(&plan), "fingerprint must match the plan");
         *self.by_fp.entry(fp).or_insert_with(|| {
             let id = PlanId(self.plans.len() as u32);
-            self.plans.push(Arc::new(plan));
+            self.plans.push(plan);
             id
         })
     }

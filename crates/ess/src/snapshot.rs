@@ -192,7 +192,7 @@ mod tests {
     use rqp_optimizer::Optimizer;
     use rqp_qplan::CostModel;
 
-    fn compiled() -> Ess {
+    fn compiled() -> std::sync::Arc<Ess> {
         let catalog = CatalogBuilder::new()
             .relation(
                 RelationBuilder::new("a", 1_000_000).indexed_column("k", 1_000_000, 8).build(),

@@ -1,14 +1,17 @@
 //! Integration tests for the compile acceleration layer: the recosting
 //! surface must be indistinguishable (within the workspace cost tolerance)
-//! from the brute-force surface, and a compile routed through the
-//! persistent cache must restore byte-identical surfaces and bands.
+//! from the brute-force per-cell DP oracle, and a compile routed through
+//! the persistent cache must restore byte-identical surfaces and bands.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod common;
+
+use common::{assert_cost_equivalent, oracle};
 use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder, RqpResult};
-use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, Grid, Posp};
+use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig, Grid};
 use rqp_optimizer::Optimizer;
-use rqp_qplan::{cost_eq, CostModel};
+use rqp_qplan::CostModel;
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -47,69 +50,31 @@ fn query(catalog: &Catalog, dims: usize) -> RqpResult<Query> {
     qb.build()
 }
 
-fn assert_surfaces_equivalent(exact: &Posp, fast: &Posp, opt: &Optimizer<'_>) {
-    assert_eq!(exact.grid().num_cells(), fast.grid().num_cells());
-    for cell in exact.grid().cells() {
-        let e = exact.cost(cell);
-        let f = fast.cost(cell);
-        assert!(
-            cost_eq(e, f),
-            "cell {cell}: exact cost {e} vs recost surface cost {f} \
-             (exact plan P{}, fast plan P{})",
-            exact.plan_id(cell).0 + 1,
-            fast.plan_id(cell).0 + 1,
-        );
-        // the recorded cost must really be the cost of the recorded plan
-        let replayed = fast.cost_of_plan_at(opt, fast.plan_id(cell), cell);
-        assert!(cost_eq(replayed, f), "cell {cell}: stored {f}, recosted {replayed}");
-    }
+/// A recost compile of `dims` at `resolution` against the brute-force
+/// oracle.
+fn check_recost(opt: &Optimizer<'_>, dims: usize, resolution: usize) {
+    let config = EssConfig { resolution, mode: CompileMode::Recost, ..Default::default() };
+    let grid = Grid::uniform(dims, resolution, config.min_sel).unwrap();
+    let compiled = Ess::compile_cached(opt, config, None).unwrap();
+    assert_cost_equivalent(&oracle(opt, &grid, config.contour_ratio), &compiled, opt);
 }
 
 #[test]
-fn recost_surface_matches_brute_force_2d() {
+fn recost_compile_matches_brute_force_2d() {
     let catalog = catalog();
     let query = query(&catalog, 2).unwrap();
     let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let grid = |res| Grid::uniform(2, res, 1e-5).unwrap();
     for res in [9, 16] {
-        let exact = Posp::compile_with(&opt, grid(res), CompileMode::Exact);
-        let fast = Posp::compile_with(&opt, grid(res), CompileMode::Recost { seed_stride: 3 });
-        assert_surfaces_equivalent(&exact, &fast, &opt);
+        check_recost(&opt, 2, res);
     }
 }
 
 #[test]
-fn recost_surface_matches_brute_force_3d() {
+fn recost_compile_matches_brute_force_3d() {
     let catalog = catalog();
     let query = query(&catalog, 3).unwrap();
     let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let exact = Posp::compile_with(&opt, Grid::uniform(3, 10, 1e-5).unwrap(), CompileMode::Exact);
-    let fast = Posp::compile_with(
-        &opt,
-        Grid::uniform(3, 10, 1e-5).unwrap(),
-        CompileMode::Recost { seed_stride: 3 },
-    );
-    assert_surfaces_equivalent(&exact, &fast, &opt);
-}
-
-#[test]
-fn degenerate_strides_degrade_to_exact() {
-    let catalog = catalog();
-    let query = query(&catalog, 2).unwrap();
-    let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    for stride in [0, 1] {
-        let exact =
-            Posp::compile_with(&opt, Grid::uniform(2, 6, 1e-5).unwrap(), CompileMode::Exact);
-        let fast = Posp::compile_with(
-            &opt,
-            Grid::uniform(2, 6, 1e-5).unwrap(),
-            CompileMode::Recost { seed_stride: stride },
-        );
-        for cell in exact.grid().cells() {
-            assert_eq!(exact.cost(cell).to_bits(), fast.cost(cell).to_bits());
-            assert_eq!(exact.plan_id(cell), fast.plan_id(cell));
-        }
-    }
+    check_recost(&opt, 3, 10);
 }
 
 #[test]

@@ -1,15 +1,17 @@
-//! Integration tests for the lazy anytime compiler: band-by-band
-//! materialization must be cell-for-cell indistinguishable from the eager
-//! pipeline (same costs to the bit, same plan assignment, same contour
-//! membership), and stopping at band `k` must never cost cells above
-//! `k`'s boundary layer.
+//! Integration tests for the ESS compiler: a finished compile must match
+//! the brute-force per-cell DP oracle (same costs to the bit in exact
+//! mode, same plan assignment, same contour membership), and stopping at
+//! band `k` must never cost cells above `k`'s boundary layer.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod common;
+
+use common::{assert_cost_equivalent, oracle};
 use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder, RqpResult};
-use rqp_ess::{CompileMode, Ess, EssConfig, LazyEss, PospSnapshot};
+use rqp_ess::{CompileMode, Ess, EssConfig, Grid, LazyEss, PospSnapshot};
 use rqp_optimizer::Optimizer;
-use rqp_qplan::CostModel;
+use rqp_qplan::{CostModel, Fingerprint};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -61,64 +63,91 @@ fn config(dims: usize, mode: CompileMode) -> EssConfig {
     EssConfig { resolution, mode, ..Default::default() }
 }
 
-/// Eager and lazily-finished surfaces must agree bit for bit: costs, plan
-/// assignment, contour ladder and band membership.
-fn assert_ess_identical(eager: &Ess, lazy: &Ess) {
-    assert_eq!(eager.grid().num_cells(), lazy.grid().num_cells());
-    assert_eq!(eager.posp.num_plans(), lazy.posp.num_plans());
-    assert_eq!(eager.contours.num_bands(), lazy.contours.num_bands());
-    for cell in eager.grid().cells() {
-        assert_eq!(
-            eager.posp.cost(cell).to_bits(),
-            lazy.posp.cost(cell).to_bits(),
-            "cell {cell} cost must be bitwise identical"
-        );
-        assert_eq!(eager.posp.plan_id(cell), lazy.posp.plan_id(cell), "cell {cell} plan");
-        assert_eq!(eager.contours.band_of(cell), lazy.contours.band_of(cell), "cell {cell} band");
+/// Plan ids follow first-seen cell order: scanning cells by index, each
+/// cell's id is either one already seen or the next fresh one.
+fn assert_first_seen_ids(ess: &Ess) {
+    let mut next = 0;
+    for cell in ess.grid().cells() {
+        let id = ess.posp.plan_id(cell).0;
+        assert!(id <= next, "cell {cell}: plan id {id} skips ahead of {next}");
+        if id == next {
+            next += 1;
+        }
     }
-    for band in 0..eager.contours.num_bands() {
-        assert_eq!(eager.contours.cells(band), lazy.contours.cells(band), "band {band} members");
-    }
+    assert_eq!(next as usize, ess.posp.num_plans());
 }
 
+/// An exact compile must equal the oracle bit for bit: costs, plans (by
+/// fingerprint and id), contour ladder, band membership and snapshot.
+fn assert_matches_oracle(oracle: &Ess, ess: &Ess) {
+    assert_eq!(oracle.grid().num_cells(), ess.grid().num_cells());
+    assert_eq!(oracle.posp.num_plans(), ess.posp.num_plans());
+    assert_eq!(oracle.contours.num_bands(), ess.contours.num_bands());
+    for cell in oracle.grid().cells() {
+        assert_eq!(
+            oracle.posp.cost(cell).to_bits(),
+            ess.posp.cost(cell).to_bits(),
+            "cell {cell} cost must be bitwise the oracle's"
+        );
+        let fp = |e: &Ess| Fingerprint::of(e.posp.plan(e.posp.plan_id(cell)));
+        assert_eq!(fp(oracle), fp(ess), "cell {cell} plan");
+        assert_eq!(oracle.posp.plan_id(cell), ess.posp.plan_id(cell), "cell {cell} plan id");
+        assert_eq!(oracle.contours.band_of(cell), ess.contours.band_of(cell), "cell {cell} band");
+    }
+    for band in 0..oracle.contours.num_bands() {
+        assert_eq!(oracle.contours.cc(band).to_bits(), ess.contours.cc(band).to_bits());
+        assert_eq!(oracle.contours.cells(band), ess.contours.cells(band), "band {band} members");
+    }
+    assert_eq!(
+        PospSnapshot::capture(oracle).to_json().unwrap(),
+        PospSnapshot::capture(ess).to_json().unwrap(),
+        "the snapshot must be byte-identical to the oracle's"
+    );
+}
+
+/// Both ways to a finished surface — a lazy compile finished, and
+/// `Ess::compile_cached` — against the per-cell DP oracle.
 #[test]
 fn lazy_finish_matches_eager_exact_and_recost_2d_3d_4d() {
     let catalog = catalog();
     for dims in [2usize, 3, 4] {
         let query = query(&catalog, dims).unwrap();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
-        for mode in [CompileMode::Exact, CompileMode::Recost { seed_stride: 3 }] {
+        for mode in [CompileMode::Exact, CompileMode::Recost] {
             let cfg = config(dims, mode);
-            let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
+            let grid = Grid::uniform(dims, cfg.resolution, cfg.min_sel).unwrap();
+            let oracle = oracle(&opt, &grid, cfg.contour_ratio);
             let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
             let finished = lazy.finish().unwrap();
-            assert_ess_identical(&eager, &finished);
-            // the final snapshots are byte-identical, not just equivalent
-            assert_eq!(
-                PospSnapshot::capture(&eager).to_json().unwrap(),
-                PospSnapshot::capture(&finished).to_json().unwrap(),
-                "{dims}D {mode:?}: finished lazy snapshot must be byte-identical to eager"
-            );
+            let compiled = Ess::compile_cached(&opt, cfg, None).unwrap();
+            for ess in [&finished, &compiled] {
+                assert_first_seen_ids(ess);
+                match mode {
+                    CompileMode::Exact => assert_matches_oracle(&oracle, ess),
+                    CompileMode::Recost => assert_cost_equivalent(&oracle, ess, &opt),
+                }
+            }
         }
     }
 }
 
+/// Bands pulled from an unfinished compile equal a finished compile's.
 #[test]
 fn lazy_bands_match_eager_contours_without_finishing() {
     let catalog = catalog();
     let query = query(&catalog, 3).unwrap();
     let opt = Optimizer::new(&catalog, &query, CostModel::default());
-    let cfg = config(3, CompileMode::Recost { seed_stride: 3 });
-    let eager = Ess::compile_cached(&opt, cfg, None).unwrap();
+    let cfg = config(3, CompileMode::Recost);
+    let done = Ess::compile_cached(&opt, cfg, None).unwrap();
     let lazy = LazyEss::begin(&catalog, &query, CostModel::default(), cfg).unwrap();
-    assert_eq!(lazy.num_bands(), eager.contours.num_bands());
+    assert_eq!(lazy.num_bands(), done.contours.num_bands());
     for band in 0..2.min(lazy.num_bands()) {
         assert_eq!(
             *lazy.band_cells(band),
-            eager.contours.cells(band).to_vec(),
-            "band {band} members must match the eager contour set"
+            done.contours.cells(band).to_vec(),
+            "band {band} members must match the finished contour set"
         );
-        assert!((lazy.cc(band) - eager.contours.cc(band)).abs() == 0.0, "ladder edge {band}");
+        assert!((lazy.cc(band) - done.contours.cc(band)).abs() == 0.0, "ladder edge {band}");
     }
 }
 

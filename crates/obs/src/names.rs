@@ -192,15 +192,7 @@ pub const SPAN_ESS_COMPILE: &str = "ess_compile";
 pub const SPAN_REGISTRY_WAIT: &str = "registry_wait";
 /// Span: building the iso-cost contour set inside a compile.
 pub const SPAN_CONTOUR_BUILD: &str = "contour_build";
-/// Span: aggregate seed-sublattice full-DP phase of a recost compile.
-pub const SPAN_POSP_SEED_DP: &str = "posp_seed_dp";
-/// Span: aggregate corner-agreement recosting phase of a recost compile.
-pub const SPAN_POSP_RECOST: &str = "posp_recost";
-/// Span: aggregate fallback full-DP phase (seed corners disagreed).
-pub const SPAN_POSP_FALLBACK_DP: &str = "posp_fallback_dp";
-/// Span: aggregate exhaustive per-cell DP phase of an exact compile.
-pub const SPAN_POSP_EXACT_DP: &str = "posp_exact_dp";
-/// Span: one contour band materialized by the lazy anytime compiler.
+/// Span: one contour band materialized by the ESS compiler.
 pub const SPAN_ESS_BAND_COMPILE: &str = "ess_band_compile";
 /// Span: one iso-cost contour band of the discovery climb.
 pub const SPAN_CONTOUR_BAND: &str = "contour_band";

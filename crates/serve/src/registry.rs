@@ -622,7 +622,7 @@ impl EssRegistry {
         &self,
         fp: u64,
         deadline: Deadline,
-        compile: impl FnOnce() -> RqpResult<Ess>,
+        compile: impl FnOnce() -> RqpResult<Arc<Ess>>,
     ) -> RqpResult<(Arc<Ess>, Lookup)> {
         let m = metrics();
         let mut wait_sw: Option<rqp_obs::Stopwatch> = None;
@@ -657,7 +657,6 @@ impl EssRegistry {
         guard.armed = false;
         let out = match result {
             Ok(ess) => {
-                let ess = Arc::new(ess);
                 let mut map = shard.lock();
                 map.insert(fp, Entry::Ready(Arc::clone(&ess)));
                 drop(map);
@@ -876,7 +875,7 @@ mod tests {
     use rqp_qplan::CostModel;
     use rqp_workloads::Workload;
 
-    fn compile_example() -> RqpResult<Ess> {
+    fn compile_example() -> RqpResult<Arc<Ess>> {
         let w = Workload::q91(2)?;
         let opt = Optimizer::new(&w.catalog, &w.query, CostModel::default());
         Ess::compile_cached(&opt, EssConfig { resolution: 6, ..Default::default() }, None)

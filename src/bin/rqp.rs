@@ -62,7 +62,7 @@ fn usage() {
          commands:\n\
          \x20 list                                   list named workloads\n\
          \x20 compile --query NAME [--resolution N] [--out FILE]\n\
-         \x20         [--cache-dir DIR] [--mode exact|recost|recost:STRIDE]\n\
+         \x20         [--cache-dir DIR] [--mode exact|recost]\n\
          \x20 run     --query NAME [--algo sb|ab|pb|native|reopt] [--qa s1,s2,..]\n\
          \x20         [--lazy true]   compile contour bands only as discovery pulls them\n\
          \x20 report  --query NAME [--resolution N]\n\
@@ -150,14 +150,11 @@ fn config_for(flags: &HashMap<String, String>, dims: usize) -> EssConfig {
     if let Some(mode) = flags.get("mode") {
         cfg.mode = match mode.to_ascii_lowercase().as_str() {
             "exact" => CompileMode::Exact,
-            "recost" => CompileMode::default(),
-            other => match other.strip_prefix("recost:").and_then(|s| s.parse().ok()) {
-                Some(stride) => CompileMode::Recost { seed_stride: stride },
-                None => {
-                    eprintln!("bad --mode {mode:?} (exact|recost|recost:STRIDE)");
-                    exit(2);
-                }
-            },
+            "recost" => CompileMode::Recost,
+            _ => {
+                eprintln!("bad --mode {mode:?} (exact|recost)");
+                exit(2);
+            }
         };
     }
     if let Some(dir) = flags.get("cache-dir") {
@@ -243,7 +240,7 @@ fn compile(flags: &HashMap<String, String>) {
 fn run(flags: &HashMap<String, String>) {
     let w = workload_by_name(required(flags, "query"));
     let cfg = config_for(flags, w.query.dims());
-    let lazy = flags.get("lazy").is_some_and(|v| v == "true" || v == "1");
+    let lazy = parse_or(flags, "lazy", false);
     let rt = if lazy {
         w.runtime_lazy(cfg).unwrap_or_else(|e| {
             eprintln!("lazy ESS admission failed: {e}");
@@ -539,8 +536,8 @@ fn serve(flags: &HashMap<String, String>) {
                 robust_qp::chaos::CompileFaultConfig::quiet(seed)
             }
         }),
-        degrade: flags.get("degrade").map(String::as_str) == Some("true"),
-        lazy: flags.get("lazy").map(String::as_str) == Some("true"),
+        degrade: parse_or(flags, "degrade", false),
+        lazy: parse_or(flags, "lazy", false),
         keep_traces: false,
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
         // Any trace consumer (live endpoint or file export) turns tracing on.
@@ -599,7 +596,7 @@ fn serve(flags: &HashMap<String, String>) {
         println!("tracing: {traced} session trace(s) captured");
     }
 
-    if flags.get("strict").map(String::as_str) == Some("true") {
+    if parse_or(flags, "strict", false) {
         let distinct: std::collections::HashSet<String> =
             entries.iter().map(|e| e.query.to_ascii_lowercase()).collect();
         let mut violations = Vec::new();
@@ -731,7 +728,7 @@ fn connect(flags: &HashMap<String, String>) {
     });
     robust_qp::serve::register_metrics();
 
-    if flags.get("shutdown").map(String::as_str) == Some("true") {
+    if parse_or(flags, "shutdown", false) {
         let mut transport = TcpTransport::connect(&addrs, resolution).unwrap_or_else(|e| {
             eprintln!("connect failed: {e}");
             exit(1);
@@ -816,7 +813,7 @@ fn lint(flags: &HashMap<String, String>) {
         eprintln!("cannot lint {root}: {e}");
         exit(2);
     });
-    let deny_warnings = flags.get("deny-warnings").map(String::as_str) == Some("true");
+    let deny_warnings = parse_or(flags, "deny-warnings", false);
     match flags.get("format").map(String::as_str) {
         Some("json") => print!("{}", rl::render_json(&violations)),
         _ => {

@@ -154,3 +154,18 @@ fn sql_subcommand_parses_and_runs() {
     assert!(text.contains("1 epps") || text.contains("1 epp"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn malformed_flag_values_exit_2() {
+    for (args, flag) in [
+        (&["serve", "--query", "2D_Q91", "--sessions", "1", "--lazy", "1"][..], "bad --lazy"),
+        (
+            &["compile", "--query", "2D_Q91", "--resolution", "4", "--mode", "recost:3"][..],
+            "bad --mode",
+        ),
+    ] {
+        let out = rqp(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{args:?}");
+    }
+}
