@@ -5,27 +5,15 @@
 //! `BENCH_4.json` at the repo root to start the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rqp_bench::{median_secs, write_bench_report};
 use rqp_ess::{CompileCache, CompileMode, Ess, EssConfig};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::CostModel;
 use rqp_workloads::Workload;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn config(dims: usize, mode: CompileMode) -> EssConfig {
     EssConfig { mode, ..EssConfig::coarse(dims) }
-}
-
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn bench(c: &mut Criterion) {
@@ -71,21 +59,19 @@ fn bench(c: &mut Criterion) {
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    // hand-rolled JSON: the workspace serde_json may be a stub (see
-    // crates/ess/src/cache.rs), so the report is written directly
-    let json = format!(
-        "{{\n  \"bench\": \"compile_cache\",\n  \"fixture\": \"q91 3D, EssConfig::coarse(3)\",\n  \
-         \"reps\": {reps},\n  \"exact_seconds\": {exact_s:.6},\n  \
-         \"recost_seconds\": {recost_s:.6},\n  \"warm_cache_seconds\": {warm_s:.6},\n  \
-         \"recost_speedup\": {:.2},\n  \"warm_cache_speedup\": {:.2}\n}}\n",
-        exact_s / recost_s.max(1e-12),
-        exact_s / warm_s.max(1e-12),
+    write_bench_report(
+        "BENCH_4.json",
+        vec![
+            ("bench", "compile_cache".into()),
+            ("fixture", "q91 3D, EssConfig::coarse(3)".into()),
+            ("reps", reps.into()),
+            ("exact_seconds", exact_s.into()),
+            ("recost_seconds", recost_s.into()),
+            ("warm_cache_seconds", warm_s.into()),
+            ("recost_speedup", (exact_s / recost_s.max(1e-12)).into()),
+            ("warm_cache_speedup", (exact_s / warm_s.max(1e-12)).into()),
+        ],
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_4.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}\n{json}"),
-        Err(e) => eprintln!("could not write {out}: {e}\n{json}"),
-    }
 }
 
 criterion_group! {

@@ -6,24 +6,12 @@
 //! to `BENCH_7.json` at the repo root (target: ≥10×).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rqp_bench::{median_secs, write_bench_report};
 use rqp_ess::{Ess, EssConfig, LazyEss};
 use rqp_optimizer::Optimizer;
 use rqp_qplan::CostModel;
 use rqp_workloads::Workload;
 use std::hint::black_box;
-use std::time::Instant;
-
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 fn bench(c: &mut Criterion) {
     for dims in [3usize, 4] {
@@ -62,22 +50,19 @@ fn bench(c: &mut Criterion) {
     probe.compile_through(0);
     let (bands_first, bands_total) = (probe.bands_compiled(), probe.num_bands());
 
-    // hand-rolled JSON: the workspace serde_json may be a stub (see
-    // crates/ess/src/cache.rs), so the report is written directly
-    let json = format!(
-        "{{\n  \"bench\": \"compile_lazy\",\n  \"fixture\": \"q91 4D, EssConfig::coarse(4)\",\n  \
-         \"reps\": {reps},\n  \"eager_full_seconds\": {eager_s:.6},\n  \
-         \"lazy_first_band_seconds\": {lazy_s:.6},\n  \
-         \"first_execution_speedup\": {:.2},\n  \
-         \"bands_compiled_at_first_execution\": {bands_first},\n  \
-         \"total_bands\": {bands_total}\n}}\n",
-        eager_s / lazy_s.max(1e-12),
+    write_bench_report(
+        "BENCH_7.json",
+        vec![
+            ("bench", "compile_lazy".into()),
+            ("fixture", "q91 4D, EssConfig::coarse(4)".into()),
+            ("reps", reps.into()),
+            ("eager_full_seconds", eager_s.into()),
+            ("lazy_first_band_seconds", lazy_s.into()),
+            ("first_execution_speedup", (eager_s / lazy_s.max(1e-12)).into()),
+            ("bands_compiled_at_first_execution", bands_first.into()),
+            ("total_bands", bands_total.into()),
+        ],
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}\n{json}"),
-        Err(e) => eprintln!("could not write {out}: {e}\n{json}"),
-    }
 }
 
 criterion_group! {

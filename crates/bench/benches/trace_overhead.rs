@@ -9,25 +9,13 @@
 //!   the measured ratio go to `BENCH_6.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rqp_bench::{median_secs, write_bench_report};
 use rqp_core::{Discovery, SpillBound};
 use rqp_ess::EssConfig;
 use rqp_obs::{install, SpanKind, Tracer};
 use rqp_serve::{serve_workload, ServeConfig};
 use rqp_workloads::{parse_session_file, Workload};
 use std::hint::black_box;
-use std::time::Instant;
-
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 fn bench(c: &mut Criterion) {
     let w = Workload::q91(3).expect("workload builds");
@@ -87,20 +75,24 @@ fn bench(c: &mut Criterion) {
     let on_s = median_secs(serve_reps, || run(true));
     let overhead = on_s / off_s.max(1e-12) - 1.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \
-         \"fixture\": \"q91 3D coarse; serve: 1 compile + 8 SpillBound sessions, 4 workers\",\n  \
-         \"serve_reps\": {serve_reps},\n  \"serve_off_seconds\": {off_s:.6},\n  \
-         \"serve_on_seconds\": {on_s:.6},\n  \"overhead_ratio\": {overhead:.4},\n  \
-         \"budget_ratio\": 0.05,\n  \"discover_reps\": {reps},\n  \
-         \"bare_discover_off_seconds\": {discover_off_s:.6},\n  \
-         \"bare_discover_on_seconds\": {discover_on_s:.6}\n}}\n"
+    write_bench_report(
+        "BENCH_6.json",
+        vec![
+            ("bench", "trace_overhead".into()),
+            (
+                "fixture",
+                "q91 3D coarse; serve: 1 compile + 8 SpillBound sessions, 4 workers".into(),
+            ),
+            ("serve_reps", serve_reps.into()),
+            ("serve_off_seconds", off_s.into()),
+            ("serve_on_seconds", on_s.into()),
+            ("overhead_ratio", overhead.into()),
+            ("budget_ratio", 0.05.into()),
+            ("discover_reps", reps.into()),
+            ("bare_discover_off_seconds", discover_off_s.into()),
+            ("bare_discover_on_seconds", discover_on_s.into()),
+        ],
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}\n{json}"),
-        Err(e) => eprintln!("could not write {out}: {e}\n{json}"),
-    }
 }
 
 criterion_group! {

@@ -44,7 +44,9 @@ pub const EXPERIMENTS: &[&str] = &[
 
 use rqp_core::RobustRuntime;
 use rqp_ess::EssConfig;
+use rqp_obs::JsonValue;
 use rqp_workloads::Workload;
+use std::time::Instant;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +84,33 @@ impl Scale {
 /// workloads always compile).
 pub fn runtime_for(w: &Workload, scale: Scale) -> RobustRuntime<'_> {
     w.runtime(scale.ess_config(w.query.dims())).expect("curated workload compiles")
+}
+
+/// Median wall-clock seconds of `reps` runs of `f`, for the manual
+/// timings the benches record next to their criterion groups.
+pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Write a bench report, one JSON object of `fields`, to `file` at the
+/// repo root (e.g. `BENCH_4.json`) and echo it. A failed write is
+/// reported on stderr, not fatal: the criterion numbers still stand.
+pub fn write_bench_report(file: &str, fields: Vec<(&str, JsonValue)>) {
+    let report = JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+    let json = report.to_json_pretty() + "\n";
+    let out = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&out, &json) {
+        Ok(()) => println!("wrote {out}\n{json}"),
+        Err(e) => eprintln!("could not write {out}: {e}\n{json}"),
+    }
 }
 
 #[cfg(test)]

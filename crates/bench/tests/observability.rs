@@ -92,8 +92,14 @@ fn metrics_and_events_round_trip_through_json_codec() {
         "optimizer call count missing from snapshot"
     );
     let compile = &snap.histograms["rqp_ess_compile_seconds"];
-    assert!(compile.count >= 1, "ESS compile timing missing");
+    assert_eq!(compile.count, 1, "one compile, timed once");
     assert!(compile.sum > 0.0);
+    // the only test in this binary: every optimizer call is timed exactly once
+    assert_eq!(
+        snap.histograms["rqp_optimizer_optimize_seconds"].count,
+        snap.counters["rqp_optimizer_calls_total"],
+        "one optimize-time observation per optimizer call"
+    );
     // the compile's two phases, which per-layer reports read
     for phase in ["rqp_ess_posp_compile_seconds", "rqp_ess_contour_build_seconds"] {
         let h = &snap.histograms[phase];
@@ -119,7 +125,11 @@ fn metrics_and_events_round_trip_through_json_codec() {
         lines += 1;
         match v["event"].as_str().unwrap() {
             "budgeted_execution" => budgeted_events += 1,
-            "ess_compile" => ess_compiles += 1,
+            "ess_compile" => {
+                ess_compiles += 1;
+                let secs = v["compile_seconds"].as_f64().unwrap();
+                assert!(secs > 0.0, "ess_compile event carries the compile time: {line}");
+            }
             _ => {}
         }
     }

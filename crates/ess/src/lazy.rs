@@ -267,23 +267,14 @@ impl LazyEss {
         let tracer = rqp_obs::current();
         while st.compiled_through < target {
             let k = (st.compiled_through + 1) as usize;
-            let sw = rqp_obs::Stopwatch::start();
+            let mut band_span =
+                tracer.span(rqp_obs::names::SPAN_ESS_BAND_COMPILE, rqp_obs::SpanKind::CompilePhase);
+            band_span.attr("band", k as u64);
             let members = self.flood_band(&mut st, &opt, k);
-            let cells = members.len();
+            band_span.attr("cells", members.len() as u64);
             st.bands.push(Arc::new(members));
             st.compiled_through = k as isize;
             crate::obs::metrics().bands_compiled.inc();
-            if tracer.is_enabled() {
-                tracer.record_span(
-                    rqp_obs::names::SPAN_ESS_BAND_COMPILE,
-                    rqp_obs::SpanKind::CompilePhase,
-                    sw.elapsed_secs(),
-                    vec![
-                        ("band", rqp_obs::JsonValue::from(k as u64)),
-                        ("cells", rqp_obs::JsonValue::from(cells as u64)),
-                    ],
-                );
-            }
         }
     }
 

@@ -126,10 +126,9 @@ impl Ess {
     ) -> RqpResult<Arc<Ess>> {
         let m = obs::metrics();
         m.compiles.inc();
-        let span = rqp_obs::time_histogram(&m.compile_seconds);
-        let tracer = rqp_obs::current();
-        let mut compile_span =
-            tracer.span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile);
+        let mut compile_span = rqp_obs::current()
+            .span(rqp_obs::names::SPAN_ESS_COMPILE, rqp_obs::SpanKind::Compile)
+            .with_histogram(&m.compile_seconds);
         compile_span.attr("query", optimizer.query().name.as_str());
         let opt_calls = rqp_obs::global().counter(rqp_obs::names::OPTIMIZER_CALLS);
         let calls_before = opt_calls.get();
@@ -144,12 +143,13 @@ impl Ess {
                 m.grid_cells.set(ess.posp.grid().num_cells() as f64);
                 m.contour_bands.set(ess.contours.num_bands() as f64);
                 m.posp_plans.set(ess.posp.num_plans() as f64);
+                let seconds = compile_span.close();
                 if rqp_obs::events_enabled() {
                     rqp_obs::emit(
                         rqp_obs::Event::new(rqp_obs::names::EV_ESS_CACHE)
                             .with("query", optimizer.query().name.as_str())
                             .with("outcome", "hit")
-                            .with("seconds", span.stop()),
+                            .with("seconds", seconds),
                     );
                 }
                 return Ok(Arc::new(ess));
@@ -165,7 +165,7 @@ impl Ess {
         }
 
         let lazy = {
-            let _posp = rqp_obs::time_histogram(&m.posp_compile_seconds);
+            let _posp = rqp_obs::SpanGuard::histogram_only(&m.posp_compile_seconds);
             let (catalog, query) = (optimizer.catalog(), optimizer.query());
             let lazy = LazyEss::anchor(catalog, query, optimizer.model(), config)?;
             m.posp_cells.add(lazy.grid().num_cells() as u64);
@@ -185,6 +185,12 @@ impl Ess {
         m.contour_bands.set(contours.num_bands() as f64);
         m.posp_plans.set(posp.num_plans() as f64);
 
+        if let (Some(cache), Some(fp)) = (cache, fingerprint) {
+            if cache.store(fp, &PospSnapshot::capture(&ess)).is_ok() {
+                m.cache_stores.inc();
+            }
+        }
+        let seconds = compile_span.close();
         if rqp_obs::events_enabled() {
             for band in 0..contours.num_bands() {
                 rqp_obs::emit(
@@ -205,14 +211,8 @@ impl Ess {
                     .with("posp_plans", posp.num_plans() as u64)
                     .with("contour_bands", contours.num_bands() as u64)
                     .with("optimizer_calls", opt_calls.get() - calls_before)
-                    .with("compile_seconds", span.stop()),
+                    .with("compile_seconds", seconds),
             );
-        }
-
-        if let (Some(cache), Some(fp)) = (cache, fingerprint) {
-            if cache.store(fp, &PospSnapshot::capture(&ess)).is_ok() {
-                m.cache_stores.inc();
-            }
         }
         Ok(ess)
     }
@@ -234,11 +234,11 @@ pub(crate) fn compile_exact(opt: &Optimizer<'_>, resolution: usize, min_sel: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqp_catalog::{CatalogBuilder, QueryBuilder, RelationBuilder};
+    use rqp_catalog::{Catalog, CatalogBuilder, Query, QueryBuilder, RelationBuilder};
     use rqp_qplan::CostModel;
 
-    #[test]
-    fn end_to_end_compile() {
+    /// A one-EPP two-table join.
+    fn join_fixture() -> (Catalog, Query) {
         let catalog = CatalogBuilder::new()
             .relation(
                 RelationBuilder::new("a", 1_000_000).indexed_column("k", 1_000_000, 8).build(),
@@ -253,12 +253,45 @@ mod tests {
             .epp_join("a", "k", "b", "k")
             .build()
             .unwrap();
+        (catalog, query)
+    }
+
+    #[test]
+    fn end_to_end_compile() {
+        let (catalog, query) = join_fixture();
         let opt = Optimizer::new(&catalog, &query, CostModel::default());
         let ess = Ess::compile(&opt, EssConfig { resolution: 20, ..Default::default() }).unwrap();
         assert_eq!(ess.grid().dims(), 1);
         assert_eq!(ess.grid().num_cells(), 20);
         assert!(ess.contours.num_bands() >= 2);
         assert!(ess.posp.num_plans() >= 1);
+    }
+
+    #[test]
+    fn a_traced_compile_records_one_band_span_per_band() {
+        let (catalog, query) = join_fixture();
+        let opt = Optimizer::new(&catalog, &query, CostModel::default());
+        let tracer = rqp_obs::Tracer::new(7, 0);
+        let ess = {
+            let _scope = rqp_obs::install(tracer.clone());
+            let config =
+                EssConfig { mode: CompileMode::Exact, resolution: 20, ..Default::default() };
+            Ess::compile_cached(&opt, config, None).unwrap()
+        };
+        let spans = tracer.spans();
+        let compile: Vec<_> =
+            spans.iter().filter(|s| s.name == rqp_obs::names::SPAN_ESS_COMPILE).collect();
+        assert_eq!(compile.len(), 1);
+        let bands: Vec<_> =
+            spans.iter().filter(|s| s.name == rqp_obs::names::SPAN_ESS_BAND_COMPILE).collect();
+        assert_eq!(bands.len(), ess.contours.num_bands(), "one span per band");
+        for (k, span) in bands.iter().enumerate() {
+            assert_eq!(span.kind, rqp_obs::SpanKind::CompilePhase);
+            assert_eq!(span.parent_id, Some(compile[0].span_id));
+            assert_eq!(span.attr("band").and_then(|v| v.as_u64()), Some(k as u64));
+            let cells = ess.contours.cells(k).len() as u64;
+            assert_eq!(span.attr("cells").and_then(|v| v.as_u64()), Some(cells), "band {k}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seeded raii-span violations: a span guard bound to `_` (drops
-//! immediately), a non-LIFO drop, and a `record_span` twin of a live
-//! guard.
+//! immediately) and a non-LIFO drop, which closes the parent span while
+//! its child is still open.
 
 use rqp_obs::{names, SpanKind, Tracer};
 
@@ -13,10 +13,4 @@ pub fn out_of_order(tracer: &Tracer) {
     let inner = tracer.span(names::SPAN_COMPILE, SpanKind::CompilePhase);
     drop(outer);
     drop(inner);
-}
-
-pub fn double_accounted(tracer: &Tracer) {
-    let guard = tracer.span(names::SPAN_COMPILE, SpanKind::CompilePhase);
-    tracer.record_span(names::SPAN_COMPILE, SpanKind::CompilePhase, 0.5, vec![]);
-    drop(guard);
 }

@@ -10,7 +10,7 @@ use crate::lexer::TokKind;
 use crate::Rule;
 
 /// Methods whose first argument is a series name (called with a `.`).
-const NAME_METHODS: [&str; 5] = ["counter", "gauge", "histogram", "span", "record_span"];
+const NAME_METHODS: [&str; 4] = ["counter", "gauge", "histogram", "span"];
 
 pub(crate) fn run(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if ctx.test_like || ctx.obs_crate {

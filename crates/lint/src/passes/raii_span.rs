@@ -1,15 +1,13 @@
-//! `raii-span`: span/timer guard discipline (warn severity).
+//! `raii-span`: span guard discipline (warn severity).
 //!
 //! Trace accounting relies on RAII: a [`SpanGuard`] records its duration
 //! and restores its parent on drop, so guards must nest LIFO. This pass
-//! flags three anti-patterns inside one function:
+//! flags two anti-patterns inside one function:
 //!
 //! * a span guard bound to `_` — it drops immediately and measures
 //!   nothing;
 //! * explicit `drop(..)` of span guards out of LIFO order — the parent
-//!   span closes while a child is still open, corrupting trace nesting;
-//! * a `record_span(NAME, ..)` twin of a live `span(NAME)` guard — the
-//!   same phase is accounted twice under one name.
+//!   span closes while a child is still open, corrupting trace nesting.
 
 use super::{matching_close, FileCtx, Finding};
 use crate::lexer::TokKind;
@@ -54,7 +52,6 @@ fn name_key(body: &[FlatTok], open: usize) -> String {
 
 fn scan_body(body: &[FlatTok], out: &mut Vec<Finding>) {
     let mut live: Vec<LiveSpan> = Vec::new();
-    let mut opened_keys: Vec<String> = Vec::new();
     let mut stmt_start = 0usize;
     for i in 0..body.len() {
         let t = &body[i];
@@ -77,7 +74,6 @@ fn scan_body(body: &[FlatTok], out: &mut Vec<Finding>) {
             && body.get(i + 1).is_some_and(|n| n.is_punct("("))
         {
             let key = name_key(body, i + 1);
-            opened_keys.push(key.clone());
             let stmt = &body[stmt_start..i];
             if stmt.first().is_some_and(|s| s.is_ident("let")) {
                 let mut b = 1usize;
@@ -101,25 +97,6 @@ fn scan_body(body: &[FlatTok], out: &mut Vec<Finding>) {
                         });
                     }
                 }
-            }
-            continue;
-        }
-        // record_span twin of a guard this function already opened
-        if t.text == "record_span"
-            && i > 0
-            && body[i - 1].is_punct(".")
-            && body.get(i + 1).is_some_and(|n| n.is_punct("("))
-        {
-            let key = name_key(body, i + 1);
-            if key != "<literal>" && opened_keys.contains(&key) {
-                out.push(Finding {
-                    rule: Rule::RaiiSpan,
-                    line: t.line,
-                    message: format!(
-                        "`record_span({key}, …)` duplicates a span guard opened under the \
-                         same name in this function (the phase is accounted twice)"
-                    ),
-                });
             }
             continue;
         }

@@ -70,12 +70,12 @@ fn guard_blocking_fixture_flags_the_recv_under_guard() {
 }
 
 #[test]
-fn raii_span_fixture_flags_all_three_antipatterns() {
+fn raii_span_fixture_flags_both_antipatterns() {
     let got = lint_fixture("violation_raii_span.rs");
     assert_eq!(
         got,
-        vec![(Rule::RaiiSpan, 8), (Rule::RaiiSpan, 14), (Rule::RaiiSpan, 20)],
-        "underscore binding, non-LIFO drop, record_span twin"
+        vec![(Rule::RaiiSpan, 8), (Rule::RaiiSpan, 14)],
+        "underscore binding, non-LIFO drop"
     );
 }
 

@@ -14,7 +14,6 @@
 //!   and fixed-bucket [`Histogram`]s, with JSON and Prometheus-text
 //!   exports ([`MetricsRegistry::snapshot`],
 //!   [`MetricsRegistry::render_prometheus`]);
-//! * lightweight RAII timing spans ([`Timer`]) feeding histograms;
 //! * hierarchical causal tracing ([`trace::Tracer`]) with deterministic
 //!   span ids, thread-local propagation ([`trace::install`] /
 //!   [`trace::current`]) and two exporters: Chrome trace-event JSON
@@ -52,9 +51,7 @@ pub use metrics::{
     escape_label_value, exponential_buckets, global, labeled, Counter, Gauge, Histogram,
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use span::{
-    default_compile_buckets, default_latency_buckets, time_histogram, Stopwatch, Timer,
-};
+pub use span::{default_compile_buckets, default_latency_buckets};
 pub use trace::{
     current, install, structural_render, SpanGuard, SpanKind, SpanRecord, TraceScope, Tracer,
 };

@@ -181,8 +181,8 @@ pub const COMPILE_FAULTS_INJECTED: &str = "rqp_chaos_compile_faults_injected_tot
 // ---- span names -------------------------------------------------------
 //
 // Causal-trace span names (see [`crate::trace`]). rqp-lint's `obs-names`
-// rule forbids inline string literals at `Tracer::span` / `record_span`
-// call sites, so every span name used in the workspace lives here.
+// rule forbids inline string literals at `Tracer::span` call sites, so
+// every span name used in the workspace lives here.
 
 /// Span: a whole served session (admission → result).
 pub const SPAN_SESSION: &str = "session";

@@ -1,8 +1,6 @@
-//! RAII timing spans feeding histograms.
+//! Histogram bucket layouts for the timings [`crate::SpanGuard`] observes.
 
-use crate::metrics::{exponential_buckets, Histogram};
-use std::sync::Arc;
-use std::time::Instant;
+use crate::metrics::exponential_buckets;
 
 /// Default latency bucket bounds: 1µs to ~268ms in ×4 steps (14 buckets
 /// plus the implicit overflow bucket). Wide enough to span a single plan
@@ -20,92 +18,9 @@ pub fn default_compile_buckets() -> Vec<f64> {
     exponential_buckets(1e-3, 4.0, 11)
 }
 
-/// A plain elapsed-time stopwatch with no metric attached. This is the
-/// sanctioned timing primitive for the deterministic crates (rqp-lint L4
-/// forbids `std::time` there): per-cell compile attribution accumulates
-/// `Stopwatch` readings into atomics and reports them as aggregate spans.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Start the stopwatch now.
-    pub fn start() -> Self {
-        Stopwatch { start: Instant::now() }
-    }
-
-    /// Elapsed nanoseconds since start (saturating at `u64::MAX`).
-    pub fn elapsed_nanos(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Elapsed seconds since start.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
-/// An RAII timing span. On drop it observes the elapsed wall-clock seconds
-/// into its histogram. Create one with [`time_histogram`] or
-/// [`Timer::new`]; use [`Timer::stop`] to end it early and read the
-/// elapsed time.
-#[derive(Debug)]
-pub struct Timer {
-    hist: Option<Arc<Histogram>>,
-    start: Instant,
-}
-
-impl Timer {
-    /// Start a span that reports into `hist` when dropped.
-    pub fn new(hist: Arc<Histogram>) -> Self {
-        Timer { hist: Some(hist), start: Instant::now() }
-    }
-
-    /// Elapsed seconds so far, without ending the span.
-    pub fn elapsed(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// End the span now, record the observation, and return the elapsed
-    /// seconds.
-    pub fn stop(mut self) -> f64 {
-        let secs = self.elapsed();
-        if let Some(h) = self.hist.take() {
-            h.observe(secs);
-        }
-        secs
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if let Some(h) = self.hist.take() {
-            h.observe(self.start.elapsed().as_secs_f64());
-        }
-    }
-}
-
-/// Start a [`Timer`] against a histogram handle.
-pub fn time_histogram(hist: &Arc<Histogram>) -> Timer {
-    Timer::new(Arc::clone(hist))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-
-    #[test]
-    fn timer_records_on_drop() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("span_seconds", &default_latency_buckets());
-        {
-            let _t = time_histogram(&h);
-        }
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= 0.0);
-    }
 
     #[test]
     fn compile_buckets_cover_cold_multi_second_compiles() {
@@ -119,24 +34,5 @@ mod tests {
             lat_top < top / 10.0,
             "latency ceiling {lat_top} too close to compile ceiling {top}"
         );
-    }
-
-    #[test]
-    fn stopwatch_reads_monotonically() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_nanos();
-        let b = sw.elapsed_nanos();
-        assert!(b >= a);
-        assert!(sw.elapsed_secs() >= 0.0);
-    }
-
-    #[test]
-    fn stop_records_exactly_once() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("span_seconds", &default_latency_buckets());
-        let t = time_histogram(&h);
-        let secs = t.stop();
-        assert!(secs >= 0.0);
-        assert_eq!(h.count(), 1, "stop() consumed the timer; drop adds nothing");
     }
 }

@@ -19,9 +19,12 @@
 //! that never install one (e.g. rayon compile workers) see the disabled
 //! tracer.
 //!
-//! [`SpanGuard`] subsumes the histogram-feeding [`crate::Timer`]: attach a
+//! [`SpanGuard`] is the workspace's one timing primitive. Attach a
 //! histogram with [`SpanGuard::with_histogram`] and the guard observes its
-//! elapsed seconds on drop in addition to recording the span.
+//! elapsed seconds on drop in addition to recording the span; a
+//! [`SpanGuard::histogram_only`] guard times a region no trace should see
+//! (one optimizer call, say); [`SpanGuard::close`] ends either kind early
+//! and returns the elapsed seconds.
 
 use crate::json::JsonValue;
 use crate::metrics::Histogram;
@@ -179,69 +182,29 @@ impl Tracer {
     /// span's parent is whatever span is currently open on this trace.
     /// `name` must be a constant from [`crate::names`].
     pub fn span(&self, name: &'static str, kind: SpanKind) -> SpanGuard {
-        match &self.inner {
-            None => SpanGuard {
-                inner: None,
-                span_id: 0,
-                parent_id: None,
+        let Some(inner) = &self.inner else {
+            return SpanGuard { span: None, wall: None, hist: None };
+        };
+        let span_id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        let parent_id = {
+            let mut st = inner.state.lock();
+            let parent = st.stack.last().copied();
+            st.stack.push(span_id);
+            parent
+        };
+        SpanGuard {
+            span: Some(OpenSpan {
+                inner: Arc::clone(inner),
+                span_id,
+                parent_id,
                 name,
                 kind,
-                start: 0.0,
-                wall: None,
+                start: inner.epoch.elapsed().as_secs_f64(),
                 attrs: Vec::new(),
-                hist: None,
-            },
-            Some(inner) => {
-                let span_id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-                let parent_id = {
-                    let mut st = inner.state.lock();
-                    let parent = st.stack.last().copied();
-                    st.stack.push(span_id);
-                    parent
-                };
-                SpanGuard {
-                    inner: Some(Arc::clone(inner)),
-                    span_id,
-                    parent_id,
-                    name,
-                    kind,
-                    start: inner.epoch.elapsed().as_secs_f64(),
-                    wall: Some(Instant::now()),
-                    attrs: Vec::new(),
-                    hist: None,
-                }
-            }
+            }),
+            wall: Some(Instant::now()),
+            hist: None,
         }
-    }
-
-    /// Record a synthetic (already-measured) span of `seconds` under the
-    /// currently open span. Used for aggregate phases measured with
-    /// [`crate::Stopwatch`] across parallel workers, where live guards
-    /// per unit would be too fine-grained. `name` must be a constant from
-    /// [`crate::names`].
-    pub fn record_span(
-        &self,
-        name: &'static str,
-        kind: SpanKind,
-        seconds: f64,
-        attrs: Vec<(&'static str, JsonValue)>,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        let span_id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let end = inner.epoch.elapsed().as_secs_f64();
-        let mut st = inner.state.lock();
-        let parent_id = st.stack.last().copied();
-        st.spans.push(SpanRecord {
-            trace_id: inner.trace_id,
-            span_id,
-            parent_id,
-            name,
-            kind,
-            start: (end - seconds).max(0.0),
-            duration: seconds.max(0.0),
-            attrs,
-            lane: inner.lane,
-        });
     }
 
     /// Snapshot the completed spans so far, ordered by start time (ties
@@ -259,37 +222,52 @@ impl Tracer {
     }
 }
 
-/// RAII span guard. Records its [`SpanRecord`] on drop; optionally also
-/// observes its elapsed seconds into a histogram ([`Self::with_histogram`]),
-/// subsuming [`crate::Timer`] at sites that want both.
+/// RAII timing guard, the one way the workspace times a region. On drop
+/// (or [`Self::close`]) it records its [`SpanRecord`] if it was opened on a
+/// live tracer, and observes its elapsed seconds into its histogram if one
+/// is attached ([`Self::with_histogram`], [`Self::histogram_only`]).
 pub struct SpanGuard {
-    inner: Option<Arc<TracerInner>>,
+    span: Option<OpenSpan>,
+    wall: Option<Instant>,
+    hist: Option<Arc<Histogram>>,
+}
+
+/// The trace half of a guard opened on a live tracer.
+struct OpenSpan {
+    inner: Arc<TracerInner>,
     span_id: u64,
     parent_id: Option<u64>,
     name: &'static str,
     kind: SpanKind,
     start: f64,
-    wall: Option<Instant>,
     attrs: Vec<(&'static str, JsonValue)>,
-    hist: Option<Arc<Histogram>>,
 }
 
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SpanGuard({} #{})", self.name, self.span_id)
+        match &self.span {
+            Some(s) => write!(f, "SpanGuard({} #{})", s.name, s.span_id),
+            None => write!(f, "SpanGuard(untraced)"),
+        }
     }
 }
 
 impl SpanGuard {
+    /// A guard that only observes its elapsed seconds into `hist`: no
+    /// tracer, no span. For regions too fine-grained to trace.
+    pub fn histogram_only(hist: &Arc<Histogram>) -> Self {
+        SpanGuard { span: None, wall: Some(Instant::now()), hist: Some(Arc::clone(hist)) }
+    }
+
     /// Attach a typed attribute to the span.
     pub fn attr(&mut self, key: &'static str, value: impl Into<JsonValue>) {
-        if self.inner.is_some() {
-            self.attrs.push((key, value.into()));
+        if let Some(span) = &mut self.span {
+            span.attrs.push((key, value.into()));
         }
     }
 
     /// Also observe the guard's elapsed seconds into `hist` on drop
-    /// (works even on a disabled tracer, replacing a bare [`crate::Timer`]).
+    /// (works even on a disabled tracer).
     pub fn with_histogram(mut self, hist: &Arc<Histogram>) -> Self {
         if self.wall.is_none() {
             self.wall = Some(Instant::now());
@@ -298,37 +276,50 @@ impl SpanGuard {
         self
     }
 
-    /// The span id (0 on a disabled tracer).
+    /// The span id (0 when no span is being recorded).
     pub fn span_id(&self) -> u64 {
-        self.span_id
+        self.span.as_ref().map_or(0, |s| s.span_id)
+    }
+
+    /// End the guard now, exactly as dropping it would, and return its
+    /// elapsed seconds (0 for a guard that neither traces nor feeds a
+    /// histogram, which never reads the clock).
+    pub fn close(mut self) -> f64 {
+        self.end()
+    }
+
+    fn end(&mut self) -> f64 {
+        let elapsed = self.wall.take().map_or(0.0, |w| w.elapsed().as_secs_f64());
+        if let Some(h) = self.hist.take() {
+            h.observe(elapsed);
+        }
+        let Some(span) = self.span.take() else { return elapsed };
+        let inner = span.inner;
+        let mut st = inner.state.lock();
+        // LIFO discipline: this guard should be the top of the stack. Be
+        // robust to out-of-order drops (e.g. guards held across scopes) by
+        // removing wherever the id sits.
+        if let Some(pos) = st.stack.iter().rposition(|&id| id == span.span_id) {
+            st.stack.remove(pos);
+        }
+        st.spans.push(SpanRecord {
+            trace_id: inner.trace_id,
+            span_id: span.span_id,
+            parent_id: span.parent_id,
+            name: span.name,
+            kind: span.kind,
+            start: span.start,
+            duration: elapsed,
+            attrs: span.attrs,
+            lane: inner.lane,
+        });
+        elapsed
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let elapsed = self.wall.map_or(0.0, |w| w.elapsed().as_secs_f64());
-        if let Some(h) = self.hist.take() {
-            h.observe(elapsed);
-        }
-        let Some(inner) = self.inner.take() else { return };
-        let mut st = inner.state.lock();
-        // LIFO discipline: this guard should be the top of the stack. Be
-        // robust to out-of-order drops (e.g. guards held across scopes) by
-        // removing wherever the id sits.
-        if let Some(pos) = st.stack.iter().rposition(|&id| id == self.span_id) {
-            st.stack.remove(pos);
-        }
-        st.spans.push(SpanRecord {
-            trace_id: inner.trace_id,
-            span_id: self.span_id,
-            parent_id: self.parent_id,
-            name: self.name,
-            kind: self.kind,
-            start: self.start,
-            duration: elapsed,
-            attrs: std::mem::take(&mut self.attrs),
-            lane: inner.lane,
-        });
+        self.end();
     }
 }
 
@@ -397,7 +388,6 @@ mod tests {
             let mut g = t.span("x", SpanKind::Step);
             g.attr("k", 1i64);
         }
-        t.record_span("y", SpanKind::CompilePhase, 0.5, Vec::new());
         assert!(t.spans().is_empty());
         assert!(!t.is_enabled());
     }
@@ -438,7 +428,7 @@ mod tests {
                 let _root = t.span("session", SpanKind::Session);
                 {
                     let _c = t.span("compile", SpanKind::Compile);
-                    t.record_span("phase", SpanKind::CompilePhase, 0.001, Vec::new());
+                    let _p = t.span("phase", SpanKind::CompilePhase);
                 }
                 let _e = t.span("exec", SpanKind::Execution);
             }
@@ -469,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_feeds_histogram_like_timer() {
+    fn span_guard_feeds_histogram() {
         let reg = crate::metrics::MetricsRegistry::new();
         let h = reg.histogram("span_guard_seconds", &crate::span::default_latency_buckets());
         let t = Tracer::new(9, 0);
@@ -482,6 +472,43 @@ mod tests {
         {
             let _g = Tracer::disabled().span("timed", SpanKind::Contour).with_histogram(&h);
         }
+        assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn histogram_only_guard_records_no_span() {
+        let reg = crate::metrics::MetricsRegistry::new();
+        let h = reg.histogram("span_guard_seconds", &crate::span::default_latency_buckets());
+        let t = Tracer::new(3, 0);
+        let _scope = install(t.clone());
+        {
+            let _g = SpanGuard::histogram_only(&h);
+        }
+        assert_eq!(h.count(), 1);
+        assert!(h.sum() >= 0.0);
+        assert!(t.spans().is_empty(), "a histogram-only guard never touches the tracer");
+    }
+
+    #[test]
+    fn close_records_exactly_once_and_returns_the_elapsed_time() {
+        let reg = crate::metrics::MetricsRegistry::new();
+        let h = reg.histogram("span_guard_seconds", &crate::span::default_latency_buckets());
+        let t = Tracer::new(4, 0);
+        let mut g = t.span("closed", SpanKind::Compile).with_histogram(&h);
+        g.attr("k", 1u64);
+        let secs = g.close();
+        let spans = t.spans();
+        assert_eq!(spans.len(), 1, "close() consumed the guard; drop adds nothing");
+        assert_eq!(spans[0].duration.to_bits(), secs.to_bits());
+        assert_eq!(spans[0].attr_f64("k"), Some(1.0));
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.sum().to_bits(), secs.to_bits());
+        // the closed span left the stack: the next span is a root
+        drop(t.span("next", SpanKind::Step));
+        assert_eq!(t.spans().iter().find(|s| s.name == "next").unwrap().parent_id, None);
+        // an untimed guard on a disabled tracer never reads the clock
+        assert_eq!(Tracer::disabled().span("off", SpanKind::Step).close().to_bits(), 0);
+        assert!(SpanGuard::histogram_only(&h).close() >= 0.0);
         assert_eq!(h.count(), 2);
     }
 }

@@ -152,7 +152,8 @@ impl<'a> Optimizer<'a> {
     pub fn optimize(&self, loc: &SelVector) -> Planned {
         let m = crate::obs::metrics();
         m.calls.inc();
-        let _span = rqp_obs::time_histogram(&m.optimize_seconds);
+        // histogram only: a traced compile would otherwise record one span per call
+        let _timing = rqp_obs::SpanGuard::histogram_only(&m.optimize_seconds);
 
         let ctx = PlanCtx::new(self.catalog, self.query, loc);
         // Query::validate caps the relation count at MAX_RELATIONS (20), so

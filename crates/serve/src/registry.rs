@@ -454,18 +454,6 @@ impl EssRegistry {
         compile()
     }
 
-    /// Record the single-flight wait span, if this lookup waited.
-    fn record_wait(&self, fp: u64, sw: Option<rqp_obs::Stopwatch>) {
-        if let Some(sw) = sw {
-            rqp_obs::current().record_span(
-                rqp_obs::names::SPAN_REGISTRY_WAIT,
-                rqp_obs::SpanKind::Wait,
-                sw.elapsed_secs(),
-                vec![("fingerprint", rqp_obs::JsonValue::from(fp))],
-            );
-        }
-    }
-
     /// A successful re-probe closes the fingerprint's breaker.
     fn close_breaker(&self, fp: u64) {
         self.breaker_closes.fetch_add(1, Ordering::Relaxed);
@@ -477,15 +465,13 @@ impl EssRegistry {
     /// (eager or lazy), refuse through an open breaker, block on a peer's
     /// in-flight compile bounded by `deadline`, or claim the fingerprint
     /// for this caller (inserting `Pending` / marking the half-open
-    /// probe before releasing the shard lock).
-    fn resolve(
-        &self,
-        fp: u64,
-        deadline: Deadline,
-        wait_sw: &mut Option<rqp_obs::Stopwatch>,
-    ) -> RqpResult<Found> {
+    /// probe before releasing the shard lock). A lookup that blocks on a
+    /// peer records one `registry_wait` span, which ends when the wait
+    /// does: before any restore or compile this caller then claims.
+    fn resolve(&self, fp: u64, deadline: Deadline) -> RqpResult<Found> {
         let m = metrics();
         let shard = self.shard(fp);
+        let mut wait_span: Option<rqp_obs::SpanGuard> = None;
         let mut map = shard.lock();
         let claim = loop {
             match map.get(&fp) {
@@ -493,13 +479,13 @@ impl EssRegistry {
                 Some(Entry::Ready(ess)) => {
                     let ess = Arc::clone(ess);
                     drop(map);
-                    let lookup = self.note_resident(wait_sw.is_some());
+                    let lookup = self.note_resident(wait_span.is_some());
                     return Ok(Found::Resident(SharedSurface::Eager(ess), lookup));
                 }
                 Some(Entry::Lazy(lazy)) => {
                     let lazy = Arc::clone(lazy);
                     drop(map);
-                    let lookup = self.note_resident(wait_sw.is_some());
+                    let lookup = self.note_resident(wait_span.is_some());
                     return Ok(Found::Resident(SharedSurface::Lazy(lazy), lookup));
                 }
                 Some(Entry::Broken(b)) => {
@@ -521,8 +507,11 @@ impl EssRegistry {
                     return Err(err);
                 }
                 Some(Entry::Pending) => {
-                    if wait_sw.is_none() {
-                        *wait_sw = Some(rqp_obs::Stopwatch::start());
+                    if wait_span.is_none() {
+                        let mut span = rqp_obs::current()
+                            .span(rqp_obs::names::SPAN_REGISTRY_WAIT, rqp_obs::SpanKind::Wait);
+                        span.attr("fingerprint", fp);
+                        wait_span = Some(span);
                         self.waits.fetch_add(1, Ordering::Relaxed);
                         m.singleflight_waits.inc();
                     }
@@ -560,6 +549,7 @@ impl EssRegistry {
                 }
             }
         };
+        drop(wait_span);
         // This caller owns the (re)compile: claim the fingerprint (still
         // under the shard lock), then run outside it so peers of *other*
         // fingerprints keep flowing.
@@ -625,21 +615,12 @@ impl EssRegistry {
         compile: impl FnOnce() -> RqpResult<Arc<Ess>>,
     ) -> RqpResult<(Arc<Ess>, Lookup)> {
         let m = metrics();
-        let mut wait_sw: Option<rqp_obs::Stopwatch> = None;
-        let claim = match self.resolve(fp, deadline, &mut wait_sw) {
-            Ok(Found::Resident(SharedSurface::Eager(ess), lookup)) => {
-                self.record_wait(fp, wait_sw);
-                return Ok((ess, lookup));
-            }
-            Ok(Found::Resident(SharedSurface::Lazy(lazy), lookup)) => {
-                self.record_wait(fp, wait_sw);
+        let claim = match self.resolve(fp, deadline)? {
+            Found::Resident(SharedSurface::Eager(ess), lookup) => return Ok((ess, lookup)),
+            Found::Resident(SharedSurface::Lazy(lazy), lookup) => {
                 return self.upgrade(fp, &lazy, lookup);
             }
-            Ok(Found::Claimed(claim)) => claim,
-            Err(e) => {
-                self.record_wait(fp, wait_sw);
-                return Err(e);
-            }
+            Found::Claimed(claim) => claim,
         };
         let shard = self.shard(fp);
         let prior_failures = claim.prior_failures();
@@ -648,14 +629,13 @@ impl EssRegistry {
         // corruption) may be restorable from the persistent tier without
         // paying a compile at all — the warm-restart recovery path.
         if let Some(ess) = self.try_restore(fp, claim, &mut guard) {
-            self.record_wait(fp, wait_sw);
             return Ok((ess, Lookup::Restored));
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         m.registry_misses.inc();
         let result = self.run_compile(compile);
         guard.armed = false;
-        let out = match result {
+        match result {
             Ok(ess) => {
                 let mut map = shard.lock();
                 map.insert(fp, Entry::Ready(Arc::clone(&ess)));
@@ -676,9 +656,7 @@ impl EssRegistry {
                 self.publish_broken(fp, prior_failures, e.clone());
                 Err(e)
             }
-        };
-        self.record_wait(fp, wait_sw);
-        out
+        }
     }
 
     /// Like [`EssRegistry::get_or_compile`], but publishes an **anytime**
@@ -702,30 +680,21 @@ impl EssRegistry {
         begin: impl FnOnce() -> RqpResult<Arc<LazyEss>>,
     ) -> RqpResult<(SharedSurface, Lookup)> {
         let m = metrics();
-        let mut wait_sw: Option<rqp_obs::Stopwatch> = None;
-        let claim = match self.resolve(fp, deadline, &mut wait_sw) {
-            Ok(Found::Resident(surface, lookup)) => {
-                self.record_wait(fp, wait_sw);
-                return Ok((surface, lookup));
-            }
-            Ok(Found::Claimed(claim)) => claim,
-            Err(e) => {
-                self.record_wait(fp, wait_sw);
-                return Err(e);
-            }
+        let claim = match self.resolve(fp, deadline)? {
+            Found::Resident(surface, lookup) => return Ok((surface, lookup)),
+            Found::Claimed(claim) => claim,
         };
         let shard = self.shard(fp);
         let prior_failures = claim.prior_failures();
         let mut guard = PendingGuard { reg: self, fp, prior_failures, armed: true };
         if let Some(ess) = self.try_restore(fp, claim, &mut guard) {
-            self.record_wait(fp, wait_sw);
             return Ok((SharedSurface::Eager(ess), Lookup::Restored));
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         m.registry_misses.inc();
         let result = self.run_compile(begin);
         guard.armed = false;
-        let out = match result {
+        match result {
             Ok(lazy) => {
                 let mut map = shard.lock();
                 map.insert(fp, Entry::Lazy(Arc::clone(&lazy)));
@@ -740,9 +709,7 @@ impl EssRegistry {
                 self.publish_broken(fp, prior_failures, e.clone());
                 Err(e)
             }
-        };
-        self.record_wait(fp, wait_sw);
-        out
+        }
     }
 
     /// Materialize a resident lazy surface into a finished [`Ess`] and
@@ -1011,6 +978,51 @@ mod tests {
         let (_, lookup) =
             reg.get_or_compile(5, Deadline::none(), || panic!("must not recompile")).unwrap();
         assert_eq!(lookup, Lookup::Hit);
+    }
+
+    #[test]
+    fn a_waiter_that_claims_after_a_wipe_ends_its_wait_span_before_compiling() {
+        let reg = Arc::new(EssRegistry::new(1));
+        let r2 = Arc::clone(&reg);
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let stalled = std::thread::spawn(move || {
+            let _ = r2.get_or_compile(5, Deadline::none(), move || {
+                // holds Pending until released
+                let _ = release_rx.recv();
+                compile_example()
+            });
+        });
+        while reg.stats().compiles == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let r3 = Arc::clone(&reg);
+        let waiter = std::thread::spawn(move || {
+            let tracer = rqp_obs::Tracer::new(1, 0);
+            let _scope = rqp_obs::install(tracer.clone());
+            let (_, lookup) = r3.get_or_compile(5, Deadline::none(), compile_example).unwrap();
+            (lookup, tracer.spans())
+        });
+        while reg.stats().waits == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // the waiter wakes to an empty map and claims the fingerprint itself
+        reg.wipe();
+        let (lookup, spans) = waiter.join().unwrap();
+        release_tx.send(()).unwrap();
+        stalled.join().unwrap();
+        assert_eq!(lookup, Lookup::Compiled);
+        let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        let wait = find(rqp_obs::names::SPAN_REGISTRY_WAIT);
+        let compile = find(rqp_obs::names::SPAN_ESS_COMPILE);
+        assert_eq!(wait.attr("fingerprint").and_then(|v| v.as_u64()), Some(5));
+        assert!(
+            wait.start + wait.duration <= compile.start,
+            "wait span [{}, +{}] overlaps the waiter's own compile [{}, +{}]",
+            wait.start,
+            wait.duration,
+            compile.start,
+            compile.duration
+        );
     }
 
     fn begin_example() -> RqpResult<Arc<LazyEss>> {
